@@ -161,34 +161,30 @@ def _sweep_jobs(
     ]
 
 
-def _timed_sweep(
-    trace_length: int, candidates: int, backend: str = "auto"
-) -> dict:
+def _timed_sweep(trace_length: int, candidates: int) -> dict:
     """Measure the mega-batched sweep path against both comparators.
 
     Returns the sweep metric fields of the benchmark record.  The
     reference-backend time is measured on one candidate's jobs and
     extrapolated linearly — the reference model has no cross-candidate
     sharing, so its sweep cost is exactly per-candidate cost times the
-    candidate count.  ``backend`` selects the fast path under test for
-    both the batched and the per-job comparator (the numba CI leg
-    passes ``numba``).
+    candidate count.
     """
     jobs = _sweep_jobs(trace_length, candidates)
     per_candidate = len(SWEEP_BENCHMARKS)
 
-    # Warmup run: traces generate into the per-process memo and, under
-    # the numba backend, the kernel JIT-compiles — neither belongs in
-    # the timed comparison (every comparator gets warm traces).
-    SimulationSession(backend=backend).run_jobs(jobs)
+    # Warmup run: traces generate into the per-process memo, which does
+    # not belong in the timed comparison (every comparator gets warm
+    # traces).
+    SimulationSession().run_jobs(jobs)
 
     start = time.perf_counter()
-    with SimulationSession(backend=backend) as session:
+    with SimulationSession() as session:
         batched = session.run_jobs(jobs)
     batched_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    perjob = [execute_job(job, backend=backend) for job in jobs]
+    perjob = [execute_job(job) for job in jobs]
     perjob_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -405,8 +401,9 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument(
         "--check-against", type=pathlib.Path, default=None,
         help=(
-            "baseline BENCH_engine.json; fail if any fresh metric "
-            f"drops more than {REGRESSION_TOLERANCE:.0%} below its"
+            "baseline BENCH_engine.json (BENCH_surrogate.json with "
+            "--surrogate); fail if any fresh metric drops more than "
+            f"{REGRESSION_TOLERANCE * 100:.0f}%% below its baseline value"
         ),
     )
     parser.add_argument(
@@ -425,14 +422,6 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         help=(
             "instructions per benchmark in the sweep experiment "
             f"(default: {SWEEP_TRACE_LENGTH})"
-        ),
-    )
-    parser.add_argument(
-        "--sweep-backend", default="auto",
-        choices=("auto", "vectorized", "numba"),
-        help=(
-            "fast-path backend under test in the sweep experiment "
-            "(default: auto)"
         ),
     )
     parser.add_argument(
@@ -521,11 +510,7 @@ def main(argv: list[str] | None = None) -> int:
         print("FAIL: backends rendered different tables", file=sys.stderr)
         return 1
 
-    sweep = _timed_sweep(
-        args.sweep_trace_length,
-        args.sweep_candidates,
-        backend=args.sweep_backend,
-    )
+    sweep = _timed_sweep(args.sweep_trace_length, args.sweep_candidates)
 
     speedup = reference_seconds / vectorized_seconds
     record = {

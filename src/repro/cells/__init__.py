@@ -21,15 +21,7 @@ a consumer is a one-line import change.
 
 from repro.cells.edram import EDRAM_1T1C, EDRAMCellDesign, EDRAMTechnology
 from repro.cells.gain import GAIN_2T, GainCellDesign, GainCellTechnology
-from repro.cells.protocol import (
-    MAX_SIZE_FACTOR,
-    MINIMAL_SIZE_STEP,
-    CellTechnology,
-    SizedCell,
-    analytic_size_for_pf,
-    quantize_size,
-    technology_tokens,
-)
+from repro.cells.protocol import CellTechnology, SizedCell, technology_tokens
 from repro.cells.registry import (
     register_technology,
     registered_technologies,
@@ -53,16 +45,18 @@ from repro.sram.montecarlo import (
     importance_sampling_pf,
     monte_carlo_pf,
 )
-from repro.sram.sizing import minimal_size_step, size_for_pf
+from repro.sram.sizing import (
+    MAX_SIZE_FACTOR,
+    MINIMAL_SIZE_STEP,
+    minimal_size_step,
+    quantize_size,
+    size_for_pf,
+)
 
 __all__ = [
     # protocol
     "CellTechnology",
     "SizedCell",
-    "MINIMAL_SIZE_STEP",
-    "MAX_SIZE_FACTOR",
-    "analytic_size_for_pf",
-    "quantize_size",
     "technology_tokens",
     # registry
     "technology_by_name",
@@ -94,4 +88,7 @@ __all__ = [
     "ImportanceSamplingResult",
     "size_for_pf",
     "minimal_size_step",
+    "quantize_size",
+    "MINIMAL_SIZE_STEP",
+    "MAX_SIZE_FACTOR",
 ]

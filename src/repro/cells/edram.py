@@ -14,7 +14,7 @@ never needed it.
 The failure model mirrors the SRAM stack's linearized-margin approach
 (DESIGN.md substitution #2): a per-topology margin knee plus a Pelgrom
 variation sigma on the access device, so ``beta ~ sqrt(size)`` and the
-generic analytic sizing solve applies unchanged.
+shared sizing solve (:func:`repro.sram.sizing.size_for_pf`) applies.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.cells.protocol import MINIMAL_SIZE_STEP, analytic_size_for_pf
+from repro.sram import sizing
+from repro.sram.failure import pf_for_beta
 from repro.tech.node import TechnologyNode, ptm32
 from repro.tech.transistor import Transistor
 
@@ -97,12 +98,11 @@ class EDRAMTechnology:
         node: TechnologyNode | None = None,
     ) -> float:
         """Smallest quantized size factor meeting ``pf_target``."""
-        return analytic_size_for_pf(self, vdd, pf_target, node)
+        return sizing.size_for_pf(self, vdd, pf_target, node)
 
     def minimal_size_step(self, node: TechnologyNode | None = None) -> float:
         """The shared 5 % width grid."""
-        del node  # single-node library; kept for interface symmetry
-        return MINIMAL_SIZE_STEP
+        return sizing.minimal_size_step(node)
 
 
 #: The registered 1T1C eDRAM technology instance.
@@ -259,9 +259,7 @@ class EDRAMCellDesign:
 
     def failure_probability(self, vdd: float) -> float:
         """Hard bit-failure probability of this sized cell at ``vdd``."""
-        from scipy.stats import norm
-
-        return float(norm.sf(self._beta(vdd)))
+        return pf_for_beta(self._beta(vdd))
 
     def describe(self) -> str:
         """Short human-readable summary."""

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.cells.protocol import MINIMAL_SIZE_STEP, analytic_size_for_pf
+from repro.sram import sizing
+from repro.sram.failure import pf_for_beta
 from repro.tech.node import TechnologyNode, ptm32
 from repro.tech.transistor import Transistor
 
@@ -94,12 +95,11 @@ class GainCellTechnology:
         node: TechnologyNode | None = None,
     ) -> float:
         """Smallest quantized size factor meeting ``pf_target``."""
-        return analytic_size_for_pf(self, vdd, pf_target, node)
+        return sizing.size_for_pf(self, vdd, pf_target, node)
 
     def minimal_size_step(self, node: TechnologyNode | None = None) -> float:
         """The shared 5 % width grid."""
-        del node  # single-node library; kept for interface symmetry
-        return MINIMAL_SIZE_STEP
+        return sizing.minimal_size_step(node)
 
 
 #: The registered 2T gain-cell technology instance.
@@ -278,9 +278,7 @@ class GainCellDesign:
 
     def failure_probability(self, vdd: float) -> float:
         """Hard bit-failure probability of this sized cell at ``vdd``."""
-        from scipy.stats import norm
-
-        return float(norm.sf(self._beta(vdd)))
+        return pf_for_beta(self._beta(vdd))
 
     def describe(self) -> str:
         """Short human-readable summary."""

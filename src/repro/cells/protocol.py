@@ -21,9 +21,8 @@ are untouched.  Each technology also carries a *canonical token*
 schedule / population artifacts to hard-error on technology mismatch at
 ``--resume`` time.
 
-The module also hosts the sizing grid shared by every registered
-technology and a generic analytic sizing solve for cells whose margin
-follows the linearized ``beta ~ sqrt(size)`` law.
+Every technology sizes through the one solve of the cell library,
+:func:`repro.sram.sizing.size_for_pf`, on its shared width grid.
 """
 
 from __future__ import annotations
@@ -31,13 +30,6 @@ from __future__ import annotations
 from typing import Iterator, Protocol, runtime_checkable
 
 from repro.tech.node import TechnologyNode
-
-#: Width quantization of the target technology: size factors move on a
-#: 5 % grid, the "minimal amount possible" of the paper's Fig. 2.
-MINIMAL_SIZE_STEP = 0.05
-
-#: Safety bound for sizing searches; no realistic design exceeds this.
-MAX_SIZE_FACTOR = 64.0
 
 
 @runtime_checkable
@@ -171,63 +163,6 @@ class CellTechnology(Protocol):
 
     def minimal_size_step(self, node: TechnologyNode | None = None) -> float:
         """The technology's minimal width increment (as a size factor)."""
-
-
-def quantize_size(size_factor: float) -> float:
-    """Round a size factor up to the shared width grid (never below 1)."""
-    import math
-
-    steps = math.ceil(round(size_factor / MINIMAL_SIZE_STEP, 9))
-    return max(1.0, steps * MINIMAL_SIZE_STEP)
-
-
-def analytic_size_for_pf(
-    technology: CellTechnology,
-    vdd: float,
-    pf_target: float,
-    node: TechnologyNode | None = None,
-) -> float:
-    """Generic sizing solve for linearized-margin cell technologies.
-
-    Valid for any technology whose margin-to-sigma ratio grows as
-    ``sqrt(size)`` (Pelgrom): solve for the exact size analytically from
-    the minimum-size failure probability, snap up to the width grid and
-    verify, exactly mirroring :func:`repro.sram.sizing.size_for_pf`.
-
-    Raises:
-        ValueError: if the technology cannot function at ``vdd`` at all,
-            has no positive nominal margin there, or no size within the
-            search bound reaches the target.
-    """
-    from scipy.stats import norm
-
-    if not 0.0 < pf_target < 1.0:
-        raise ValueError("pf_target must be in (0, 1)")
-    if not technology.is_operable(vdd):
-        raise ValueError(
-            f"{technology.name} is not functional at {vdd:.3f} V "
-            f"(floor {technology.vmin_functional:.2f} V)"
-        )
-    pf_min = technology.failure_probability(vdd, 1.0, node)
-    if pf_min <= pf_target:
-        return 1.0
-    beta_min = float(norm.isf(pf_min))
-    if beta_min <= 0:
-        raise ValueError(
-            f"{technology.name} has no positive nominal margin at "
-            f"{vdd:.3f} V; up-sizing cannot fix it"
-        )
-    needed = float(norm.isf(pf_target))
-    exact = (needed / beta_min) ** 2
-    size = quantize_size(exact)
-    while technology.failure_probability(vdd, size, node) > pf_target:
-        size = round(size + MINIMAL_SIZE_STEP, 9)
-        if size > MAX_SIZE_FACTOR:
-            raise ValueError(
-                f"cannot reach Pf={pf_target:g} for {technology.name} "
-                f"at {vdd:.3f} V within size {MAX_SIZE_FACTOR}"
-            )
-    return size
 
 
 def _designs_of(config) -> Iterator[SizedCell]:

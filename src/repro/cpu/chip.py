@@ -145,8 +145,7 @@ class Chip:
         """Execute a trace in ``mode`` and account time and energy.
 
         ``backend`` selects the functional simulation engine ("auto",
-        "vectorized", "numba" or "reference"); all backends are
-        bit-identical.
+        "vectorized" or "reference"); all backends are bit-identical.
         ``fault_map`` applies one die's disabled-line map
         (:class:`repro.faults.maps.DieFaultMap`) to both L1 arrays; a
         fault-free map is byte-identical to passing None.

@@ -9,11 +9,6 @@ stream on a fresh cache in a fixed mode:
 * ``"vectorized"`` — the batched numpy engine
   (:mod:`repro.engine.vectorized`), bit-identical for LRU runs with a
   static way mask and an order of magnitude faster;
-* ``"numba"`` — the vectorized engine with its multi-way kernel routed
-  through the flat-array implementation of
-  :mod:`repro.engine.kernels`, JIT-compiled when numba is importable
-  (and falling back to the dict kernel when it is not — results are
-  bit-identical either way, so the name is safe to use everywhere);
 * ``"auto"`` — resolves per request: the vectorized engine for LRU
   simulations (the fast path's contract), the reference model for any
   other replacement policy.
@@ -37,7 +32,7 @@ from repro.tech.operating import Mode
 from repro.util.profiling import phase
 
 #: Recognized backend names (``auto`` resolves per call).
-BACKENDS = ("auto", "vectorized", "numba", "reference")
+BACKENDS = ("auto", "vectorized", "reference")
 
 
 def resolve_backend(backend: str, policy: str | ReplacementPolicy) -> str:
@@ -74,7 +69,7 @@ def simulate_cache(
         policy: replacement policy name or instance (instances force the
             reference backend — the fast path models LRU only).
         seed: seed for the random policy (reference backend).
-        backend: "auto", "vectorized", "numba" or "reference".
+        backend: "auto", "vectorized" or "reference".
         disabled_lines: hard-fault-map ``(set, way)`` pairs of this
             array in this mode (see :mod:`repro.faults.maps`); both
             backends honour them bit-identically.
@@ -88,19 +83,18 @@ def simulate_cache(
             ignored by the reference backend).
     """
     chosen = resolve_backend(backend, policy)
-    if chosen in ("vectorized", "numba"):
+    if chosen == "vectorized":
         if not (isinstance(policy, str) and policy.lower() == "lru"):
             raise ValueError(
-                f"the {chosen} backend models LRU replacement only; "
+                "the vectorized backend models LRU replacement only; "
                 "use backend='reference' for other policies"
             )
-        with phase(f"simulate.{chosen}"):
+        with phase("simulate.vectorized"):
             return simulate_trace_vectorized(
                 config, mode, addresses, is_write,
                 disabled_lines=disabled_lines,
                 transients=transients,
                 plan=plan,
-                compiled=(chosen == "numba"),
             )
     with phase("simulate.reference"):
         return _simulate_reference(

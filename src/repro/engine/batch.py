@@ -249,7 +249,7 @@ class _SharedTraceContext:
                 with phase("batch.memo"):
                     return _isolated(hit)
         plan = None
-        if chosen in ("vectorized", "numba") and len(addresses):
+        if chosen == "vectorized" and len(addresses):
             plan_key = (
                 id(addresses),
                 id(is_write) if is_write is not None else None,

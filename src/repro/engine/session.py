@@ -178,7 +178,7 @@ class SimulationSession:
     ----------
     jobs : int
         Worker processes for independent jobs (1 = in-process).
-    backend : {"auto", "vectorized", "numba", "reference"}
+    backend : {"auto", "vectorized", "reference"}
         Default simulation backend for submitted jobs (all backends
         are bit-identical; "auto" picks the vectorized fast path where
         it applies).

@@ -46,6 +46,14 @@ from repro.util.canonical import canonical_digest
 #: ULE frequency is held at the paper's 5 MHz across NST supplies.
 ULE_FREQUENCY = 5e6
 
+#: The axes :func:`build_candidate` reads.  A sweep point may assign any
+#: subset of them and nothing else; the CLI rejects other names before
+#: building anything.
+CANDIDATE_AXES = (
+    "size_kb", "line_bytes", "ways", "ule_ways", "ule_cell", "ule_scheme",
+    "hp_scheme", "vdd_ule", "replacement", "suite",
+)
+
 
 class CandidateError(ValueError):
     """A sweep point that cannot be realized as hardware."""
@@ -227,22 +235,25 @@ def build_candidate(point: Mapping[str, object]) -> Candidate:
     """Realize one sweep point as a sized chip configuration.
 
     Raises :class:`CandidateError` when the point is not buildable
-    (inconsistent geometry, an unreachable yield target, ...).
+    (an unknown axis, inconsistent geometry, an unreachable yield
+    target, ...).
     """
-    values = dict(point)
-    size_kb = int(values.pop("size_kb", 8))
-    line_bytes = int(values.pop("line_bytes", 32))
-    ways = int(values.pop("ways", 8))
-    ule_ways = int(values.pop("ule_ways", 1))
-    ule_cell = str(values.pop("ule_cell", "8T")).upper()
-    ule_scheme = _scheme(values.pop("ule_scheme", "secded"))
-    hp_scheme = _scheme(values.pop("hp_scheme", "none"))
-    vdd_ule = float(values.pop("vdd_ule", 0.35))
-    replacement = str(values.pop("replacement", "lru")).lower()
+    unknown = sorted(set(point) - set(CANDIDATE_AXES))
+    if unknown:
+        raise CandidateError(f"unknown axes: {unknown}")
+    size_kb = int(point.get("size_kb", 8))
+    line_bytes = int(point.get("line_bytes", 32))
+    ways = int(point.get("ways", 8))
+    ule_ways = int(point.get("ule_ways", 1))
+    ule_cell = str(point.get("ule_cell", "8T")).upper()
+    ule_scheme = _scheme(point.get("ule_scheme", "secded"))
+    hp_scheme = _scheme(point.get("hp_scheme", "none"))
+    vdd_ule = float(point.get("vdd_ule", 0.35))
+    replacement = str(point.get("replacement", "lru")).lower()
     # The suite is campaign-level (it shapes the runs, not the
     # hardware) but must still distinguish the candidate's *name*:
     # reports and saved campaigns key rows by name.
-    suite = str(values.pop("suite", "paper")).lower()
+    suite = str(point.get("suite", "paper")).lower()
     if suite != "paper":
         from repro.workloads.suites import known_suite_names, suite_by_name
 
@@ -252,8 +263,6 @@ def build_candidate(point: Mapping[str, object]) -> Candidate:
             raise CandidateError(
                 f"unknown suite {suite!r}; known: {known_suite_names()}"
             ) from None
-    if values:
-        raise CandidateError(f"unknown axes: {sorted(values)}")
 
     size_bytes = size_kb * 1024
     invalid = hardware_invalidity(point)

@@ -7,17 +7,26 @@ variation pushes its worst-case margin below zero:
 
 Up-sizing enters through Pelgrom's law (sigma ~ 1/sqrt(size)), which is the
 handle the paper's design methodology (Fig. 2) turns.
+
+:func:`pf_for_beta` and :func:`beta_for_pf` are the one implementation of
+the standard normal tail; every cell technology converts between margins
+and failure probabilities through them.
 """
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
-
-from scipy.stats import norm
 
 from repro.sram.cells import CellDesign, CellTopology
 from repro.sram.margins import MarginModel
 from repro.tech.node import TechnologyNode, ptm32
+
+
+def pf_for_beta(beta: float) -> float:
+    """Failure probability ``Phi(-beta)`` of a ``beta``-sigma margin."""
+    return 0.5 * math.erfc(beta / math.sqrt(2.0))
 
 
 def analytic_pf(design: CellDesign, vdd: float) -> float:
@@ -29,15 +38,14 @@ def analytic_pf(design: CellDesign, vdd: float) -> float:
     >>> pf_hi < 1e-4 < pf_lo
     True
     """
-    model = MarginModel(design)
-    return float(norm.sf(model.beta(vdd)))
+    return pf_for_beta(MarginModel(design).beta(vdd))
 
 
 def beta_for_pf(pf: float) -> float:
     """Sigma margin required for a failure probability ``pf``."""
     if not 0.0 < pf < 1.0:
         raise ValueError("pf must be in (0, 1)")
-    return float(norm.isf(pf))
+    return -statistics.NormalDist().inv_cdf(pf)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,7 @@ _SCRIPT = (
 FRESH = {"speedup": 20.0, "sweep_speedup": 500.0, "batch_vs_perjob": 5.0}
 
 
-def _fake_sweep_metrics(
-    trace_length, candidates, backend="auto", *, identical=True
-) -> dict:
+def _fake_sweep_metrics(trace_length, candidates, *, identical=True) -> dict:
     return {
         "sweep_candidates": candidates,
         "sweep_trace_length": trace_length,
@@ -166,6 +164,16 @@ class TestRegressionGate:
         ) == 0
 
 
+class TestCommandLine:
+    def test_help_exits_zero(self, perf_smoke, capsys):
+        """Every help string must survive argparse's %-formatting."""
+        with pytest.raises(SystemExit) as exit_info:
+            perf_smoke.main(["--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "drops more than 30% below its baseline value" in text
+
+
 class TestSweepGate:
     def test_sweep_regression_fails(self, perf_smoke, tmp_path, capsys):
         """The batching throughput is gated exactly like the backend
@@ -218,7 +226,7 @@ class TestSweepGate:
     def test_below_sweep_floor_fails(
         self, perf_smoke, tmp_path, monkeypatch, capsys
     ):
-        def slow_sweep(trace_length, candidates, backend="auto"):
+        def slow_sweep(trace_length, candidates):
             metrics = _fake_sweep_metrics(trace_length, candidates)
             metrics["sweep_speedup"] = 40.0  # < MIN_SWEEP_SPEEDUP
             return metrics
@@ -238,7 +246,7 @@ class TestSweepGate:
         monkeypatch.setattr(
             perf_smoke,
             "_timed_sweep",
-            lambda trace_length, candidates, backend="auto": (
+            lambda trace_length, candidates: (
                 _fake_sweep_metrics(
                     trace_length, candidates, identical=False
                 )

@@ -54,8 +54,9 @@ class TestBackendResolution:
         assert resolve_backend("auto", "random") == "reference"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_cache(None, Mode.HP, np.array([0]), backend="turbo")
+        for backend in ("turbo", "numba"):
+            with pytest.raises(ValueError):
+                simulate_cache(None, Mode.HP, np.array([0]), backend=backend)
 
     def test_vectorized_rejects_non_lru(self, design_a):
         _, proposed = build_cache_pair(design_a)

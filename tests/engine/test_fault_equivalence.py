@@ -188,6 +188,35 @@ class TestBackendEquivalence:
         assert reference == vectorized
         assert vectorized.bypasses == 0
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_fully_disabled_set_bypasses(self, chips_a, seed):
+        """Conflict-heavy random traffic at HP: a few scattered partial
+        disables plus one set whose every active way is dead, which
+        must bypass — bit-identically across backends."""
+        config = chips_a.proposed.config.il1
+        actives = [
+            way
+            for way, active in enumerate(config.active_way_mask(Mode.HP))
+            if active
+        ]
+        rng = np.random.default_rng(seed)
+        addresses = rng.integers(0, 2_048, size=6_000).astype(np.uint64) * 32
+        is_write = rng.random(6_000) < 0.3
+        disabled = {
+            (int(rng.integers(0, config.sets)), int(way))
+            for way in rng.choice(actives, size=3, replace=False)
+        }
+        disabled |= {(0, way) for way in actives}
+        reference, vectorized = (
+            simulate_cache(
+                config, Mode.HP, addresses, is_write,
+                backend=backend, disabled_lines=tuple(sorted(disabled)),
+            )
+            for backend in ("reference", "vectorized")
+        )
+        assert reference == vectorized
+        assert vectorized.bypasses > 0
+
     def test_out_of_range_lines_rejected(self, chips_a):
         config = chips_a.proposed.config.il1
         trace = generate_trace("adpcm_c", length=500, seed=1)

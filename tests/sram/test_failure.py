@@ -1,10 +1,37 @@
 """Tests for repro.sram.failure — including the paper's cell anchors."""
 
+import math
+
 import pytest
 
 from repro.core.calibration import PF_TARGET
 from repro.sram.cells import CELL_6T, CELL_8T, CELL_10T, CellDesign
-from repro.sram.failure import CellFailureModel, analytic_pf, beta_for_pf
+from repro.sram.failure import (
+    CellFailureModel,
+    analytic_pf,
+    beta_for_pf,
+    pf_for_beta,
+)
+
+#: ``(beta, Phi(-beta))`` reference pairs from ``scipy.stats.norm.sf``.
+SF_REFERENCE = [
+    (-3.0, 0.9986501019683699),
+    (0.0, 0.5),
+    (1.0, 0.15865525393145707),
+    (3.0, 0.0013498980316300933),
+    (6.0, 9.865876450376946e-10),
+    (8.0, 6.22096057427174e-16),
+    (12.0, 1.776482112077653e-33),
+]
+
+#: ``(pf, beta)`` reference pairs from ``scipy.stats.norm.isf``.
+ISF_REFERENCE = [
+    (0.3, 0.5244005127080409),
+    (1e-3, 3.090232306167813),
+    (1e-9, 5.9978070150076865),
+    (1e-15, 7.941345326170998),
+    (1e-30, 11.464024688443613),
+]
 
 
 class TestAnalyticPf:
@@ -53,12 +80,27 @@ class TestPaperAnchors:
         assert model.pf(0.35, 5.0) < PF_TARGET
 
 
+class TestNormalTail:
+    """Both directions of the tail, against scipy to 1e-12 relative."""
+
+    @pytest.mark.parametrize("beta, pf", SF_REFERENCE)
+    def test_pf_for_beta(self, beta, pf):
+        assert math.isclose(pf_for_beta(beta), pf, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("pf, beta", ISF_REFERENCE)
+    def test_beta_for_pf(self, pf, beta):
+        assert math.isclose(beta_for_pf(pf), beta, rel_tol=1e-12)
+
+
 class TestBetaForPf:
     def test_known_point(self):
         assert beta_for_pf(0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_tail_value(self):
-        assert beta_for_pf(1.22e-6) == pytest.approx(4.71, abs=0.02)
+        """The paper's Pf target, against ``scipy.stats.norm.isf``."""
+        assert math.isclose(
+            beta_for_pf(1.22e-6), 4.713080289428367, rel_tol=1e-12
+        )
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -101,8 +101,10 @@ class TestRun:
         assert list(cache_dir.glob("gen-*/*/*.pkl"))
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "fig3", "--backend", "turbo"])
+        for backend in ("turbo", "numba"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["run", "fig4", "--backend", backend])
+            assert exit_info.value.code == 2
 
 
 class TestAll:
@@ -287,6 +289,15 @@ class TestSweep:
     def test_bad_axes_rejected(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--axes", "size_kb"])
+
+    def test_unknown_axis_rejected_before_building(self, capsys):
+        """A misspelled axis must not pass for an all-infeasible sweep:
+        one stderr line and exit 2, before any candidate is built."""
+        assert main(["sweep", "--axes", "bogus=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "unknown axes ['bogus']" in captured.err
 
 
 class TestSurrogateSweep:
