@@ -36,6 +36,14 @@ Engine options (``run``, ``all``, ``sweep``, ``schedule``,
   content hash of the full job description;
 * ``--profile`` — print per-phase wall-clock (trace generation,
   simulation, energy accounting) after the run.
+
+Exit status:
+
+* ``0`` — success;
+* ``1`` — ``traces verify`` found damage, or ``submit`` had failed jobs;
+* ``2`` — a usage or input error, reported on stderr as one
+  ``repro <cmd>: error: <message>`` line (argparse prints its usage
+  above that line for a malformed command line).
 """
 
 from __future__ import annotations
@@ -105,61 +113,117 @@ def _parse_axes(text: str) -> dict[str, tuple]:
     return axes
 
 
-def _add_scrub_option(parser: argparse.ArgumentParser) -> None:
-    """The scrub-interval flag (one definition for every command)."""
-    parser.add_argument(
-        "--scrub-us", type=float, default=100.0,
+#: Every flag that two or more subcommands take, as ``add_argument``
+#: keywords.  :func:`_flags` adds a fresh copy per subcommand (argparse
+#: ``parents=`` would share one Action, leaking one subcommand's default
+#: into another's).
+_SHARED_FLAGS: dict[str, dict] = {
+    "--trace-length": dict(
+        type=_positive_int, default=None,
+        help="dynamic instructions per benchmark trace",
+    ),
+    "--seed": dict(type=int, default=None, help="root random seed"),
+    "--scenario": dict(
+        choices=("A", "B"), default="A",
+        help="paper scenario whose chips to run",
+    ),
+    "--chip": dict(
+        choices=("proposed", "baseline"), default="proposed",
+        help="which of the scenario's chips to run",
+    ),
+    "--suite": dict(
+        default=None,
         help=(
-            "scrub interval in microseconds for injection "
-            "(default: 100)"
+            "workload suite: paper (mode-split default), smallbench, "
+            "bigbench, all, or a multi-programmed mix mix1..mix7 "
+            "(ingested components when cataloged, synthetic proxies "
+            "otherwise)"
         ),
-    )
-
-
-def _add_transient_options(parser: argparse.ArgumentParser) -> None:
-    """Soft-error injection options shared by simulating commands."""
-    parser.add_argument(
-        "--transient-accel", type=float, default=None,
+    ),
+    "--carbon": dict(
+        default=None,
+        help=(
+            "grid carbon intensity, a profile name (world, eu, "
+            "renewable, coal) or g CO2/kWh, for the sustainability "
+            "experiments and sweep's co2_per_gib_ule objective"
+        ),
+    ),
+    "--transient-accel": dict(
+        type=float, default=None,
         help=(
             "enable soft-error injection with this upset-rate "
             "acceleration (e.g. 1e16; default: off)"
         ),
-    )
-    _add_scrub_option(parser)
-
-
-def _transient_spec(args: argparse.Namespace, seed: int):
-    """The TransientSpec of a command's flags (None = injection off)."""
-    if getattr(args, "transient_accel", None) is None:
-        return None
-    from repro.transients import TransientSpec
-    from repro.util.rng import derive_seed
-
-    return TransientSpec(
-        acceleration=args.transient_accel,
-        scrub_interval_seconds=args.scrub_us * 1e-6,
-        seed=derive_seed(seed, "transients"),
-    )
-
-
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    """Options shared by every command that simulates."""
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="worker processes for independent jobs (default: 1)",
-    )
-    parser.add_argument(
-        "--backend", choices=("auto", "vectorized", "reference"),
-        default="auto", help="simulation backend (default: auto)",
-    )
-    parser.add_argument(
-        "--cache-dir", type=pathlib.Path, default=None,
-        help="enable the on-disk simulation result cache here",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
+    ),
+    "--scrub-us": dict(
+        type=float, default=100.0,
+        help="scrub interval in microseconds for injection",
+    ),
+    "--top": dict(
+        type=_positive_int, default=20,
+        help="ranked candidates to print",
+    ),
+    "--out": dict(
+        type=pathlib.Path, default=None,
+        help="also write the report to this file",
+    ),
+    "--save-json": dict(
+        type=pathlib.Path, default=None,
+        help="write the machine-readable results to this JSON file",
+    ),
+    "--jobs": dict(
+        type=_positive_int, default=1,
+        help="worker processes for independent jobs",
+    ),
+    "--backend": dict(
+        choices=("auto", "vectorized", "reference"), default="auto",
+        help="simulation backend",
+    ),
+    "--cache-dir": dict(
+        type=pathlib.Path, default=None,
+        help=(
+            "on-disk simulation result cache; serve and library runs "
+            "on one directory dedup against each other (default: "
+            "in-memory only)"
+        ),
+    ),
+    "--profile": dict(
+        action="store_true", default=False,
         help="print per-phase wall-clock after the run (forces --jobs 1)",
-    )
+    ),
+    "--host": dict(default="127.0.0.1", help="service address"),
+    "--port": dict(
+        type=int, default=8642,
+        help="service port; serve --port 0 picks an ephemeral one",
+    ),
+    "--store": dict(
+        type=pathlib.Path, default=None,
+        help=(
+            "trace store root (default: $REPRO_TRACE_STORE or the "
+            "per-user store)"
+        ),
+    ),
+}
+
+_ENGINE = ("--jobs", "--backend", "--cache-dir", "--profile")
+_REPORT = ("--out", "--save-json")
+_TRANSIENT = ("--transient-accel", "--scrub-us")
+
+
+def _flags(parser: argparse.ArgumentParser, *names: str, **defaults) -> None:
+    """Add the shared flags ``names`` to one subcommand.
+
+    ``defaults`` overrides a flag's default by destination name (e.g.
+    ``trace_length=20_000``); a set default is appended to the help.
+    """
+    for name in names:
+        spec = dict(_SHARED_FLAGS[name])
+        spec["default"] = defaults.get(
+            name[2:].replace("-", "_"), spec["default"]
+        )
+        if spec["default"] not in (None, False):
+            spec["help"] += " (default: %(default)s)"
+        parser.add_argument(name, **spec)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -172,78 +236,45 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("list", help="list experiment ids")
+    def command(name: str, handler, summary: str):
+        subparser = commands.add_parser(name, help=summary)
+        subparser.set_defaults(handler=handler)
+        return subparser
 
-    run_parser = commands.add_parser("run", help="run one experiment")
-    run_parser.add_argument("experiment", help="experiment id (see list)")
-    run_parser.add_argument(
-        "--trace-length", type=int, default=None,
-        help="dynamic instructions per benchmark (EPI experiments)",
-    )
-    run_parser.add_argument(
-        "--seed", type=int, default=None, help="root random seed"
-    )
-    run_parser.add_argument(
-        "--carbon", default=None,
-        help=(
-            "grid carbon intensity for sustainability experiments: a "
-            "profile name (world, eu, renewable, coal) or g CO2/kWh"
-        ),
-    )
-    run_parser.add_argument(
-        "--out", type=pathlib.Path, default=None,
-        help="also write the report to this file",
-    )
-    run_parser.add_argument(
-        "--save-json", type=pathlib.Path, default=None,
-        help=(
-            "write the experiment's machine-readable results "
-            "(id, comparisons, data) as JSON"
-        ),
-    )
-    _add_engine_options(run_parser)
+    command("list", _cmd_list, "list experiment ids")
 
-    design_parser = commands.add_parser(
-        "design", help="run the Fig. 2 methodology for a scenario"
-    )
-    design_parser.add_argument("scenario", choices=["A", "B"])
-    design_parser.add_argument(
-        "--seed", type=int, default=None,
-        help=(
-            "root seed: also cross-check the analytic cell Pf values "
-            "with seeded importance sampling"
-        ),
-    )
+    run = command("run", _cmd_run, "run one experiment")
+    run.add_argument("experiment", help="experiment id (see list)")
+    _flags(run, "--trace-length", "--seed", "--carbon", *_REPORT, *_ENGINE)
 
-    all_parser = commands.add_parser(
-        "all", help="run every experiment and write the reports"
+    design = command(
+        "design", _cmd_design,
+        "run the Fig. 2 methodology for a scenario (with --seed, "
+        "cross-check the analytic cell Pf values by importance sampling)",
     )
-    all_parser.add_argument(
-        "--trace-length", type=int, default=None,
-        help="dynamic instructions per benchmark (EPI experiments)",
+    design.add_argument("scenario", choices=["A", "B"])
+    _flags(design, "--seed")
+
+    all_ = command(
+        "all", _cmd_all,
+        "run every experiment and write the reports (each experiment "
+        "draws a child seed derived from --seed)",
     )
-    all_parser.add_argument(
-        "--seed", type=int, default=None,
-        help=(
-            "root random seed; each experiment gets a derived child "
-            "seed, so batch runs are bit-reproducible"
-        ),
-    )
-    all_parser.add_argument(
+    all_.add_argument(
         "--out-dir", type=pathlib.Path, default=pathlib.Path("results"),
         help="directory for the rendered reports",
     )
-    _add_engine_options(all_parser)
+    _flags(all_, "--trace-length", "--seed", *_ENGINE)
 
-    sweep_parser = commands.add_parser(
-        "sweep",
-        help="explore the design space and report the Pareto frontier",
+    sweep = command(
+        "sweep", _cmd_sweep,
+        "explore the design space and report the Pareto frontier",
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--samples", type=_positive_int, default=None,
         help="candidate budget (default: the full constrained grid)",
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--sampler", choices=("grid", "random", "halton"),
         default=None,
         help=(
@@ -253,37 +284,21 @@ def _build_parser() -> argparse.ArgumentParser:
             "corner of the space)"
         ),
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--axes", type=_parse_axes, default=None,
         help=(
             "axis overrides, e.g. "
             "\"size_kb=4,8,16;ule_scheme=secded,dected\""
         ),
     )
-    sweep_parser.add_argument(
-        "--suite", default=None,
-        help=(
-            "workload suite for every candidate: smallbench, "
-            "bigbench, all, paper (mode-split default), or a "
-            "multi-programmed mix mix1..mix7 (ingested components "
-            "when cataloged, synthetic proxies otherwise)"
-        ),
-    )
-    sweep_parser.add_argument(
-        "--trace-length", type=int, default=20_000,
-        help="dynamic instructions per benchmark (default: 20000)",
-    )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--dies", type=int, default=0,
         help=(
             "evaluate each candidate across a sampled die population "
             "and rank by p95-across-die (default: 0 = nominal die)"
         ),
     )
-    sweep_parser.add_argument(
-        "--seed", type=int, default=None, help="root random seed"
-    )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--surrogate", action="store_true",
         help=(
             "surrogate-guided exploration: simulate a seeded batch, "
@@ -293,21 +308,21 @@ def _build_parser() -> argparse.ArgumentParser:
             "jobs)"
         ),
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--budget", type=_positive_int, default=None,
         help=(
             "max candidates to simulate with --surrogate (default: a "
             "third of the space, rounded up)"
         ),
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--seed-candidates", type=_positive_int, default=None,
         help=(
             "initial space-filling batch size with --surrogate "
             "(default: a quarter of the budget, at least 8)"
         ),
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--round-size", type=_positive_int, default=None,
         help=(
             "candidates simulated per acquisition round with "
@@ -315,21 +330,21 @@ def _build_parser() -> argparse.ArgumentParser:
             "least 4)"
         ),
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--hv-tol", type=float, default=None,
         help=(
             "relative hypervolume gain under which a surrogate round "
             "counts as converged (default: 1e-3)"
         ),
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--patience", type=_positive_int, default=None,
         help=(
             "consecutive quiet rounds before the surrogate loop "
             "stops (default: 2)"
         ),
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--resume", type=pathlib.Path, default=None,
         help=(
             "reuse candidate metrics from a saved campaign "
@@ -337,315 +352,184 @@ def _build_parser() -> argparse.ArgumentParser:
             "simulation, everything else runs as usual"
         ),
     )
-    _add_transient_options(sweep_parser)
-    sweep_parser.add_argument(
-        "--carbon", default=None,
-        help=(
-            "price candidates on a grid carbon intensity — a profile "
-            "name (world, eu, renewable, coal) or g CO2/kWh; adds a "
-            "co2_per_gib_ule metric and a minimize-carbon objective"
-        ),
+    _flags(
+        sweep, "--suite", "--trace-length", "--seed", *_TRANSIENT,
+        "--carbon", "--top", *_REPORT, *_ENGINE, trace_length=20_000,
     )
-    sweep_parser.add_argument(
-        "--top", type=_positive_int, default=20,
-        help="ranked candidates to print (default: 20)",
-    )
-    sweep_parser.add_argument(
-        "--out", type=pathlib.Path, default=None,
-        help="also write the report to this file",
-    )
-    sweep_parser.add_argument(
-        "--save-json", type=pathlib.Path, default=None,
-        help="write machine-readable campaign results to this file",
-    )
-    _add_engine_options(sweep_parser)
 
-    schedule_parser = commands.add_parser(
-        "schedule",
-        help="simulate policy-scheduled HP/ULE operation over a trace",
+    schedule = command(
+        "schedule", _cmd_schedule,
+        "simulate policy-scheduled HP/ULE operation over a trace",
     )
-    schedule_parser.add_argument(
+    schedule.add_argument(
         "--policy",
         choices=("static", "utilization", "budget", "oracle"),
         default="utilization",
         help="mode-scheduling policy (default: utilization)",
     )
-    schedule_parser.add_argument(
+    schedule.add_argument(
         "--epoch", type=_positive_int, default=10_000,
         help="instructions per epoch (default: 10000)",
     )
-    schedule_parser.add_argument(
+    schedule.add_argument(
         "--segment", choices=("fixed", "phase"), default="fixed",
         help="epoch segmenter (default: fixed-length epochs)",
     )
-    schedule_parser.add_argument(
+    schedule.add_argument(
         "--duty", type=float, default=0.1,
         help="HP epoch fraction for --policy static (default: 0.1)",
     )
-    schedule_parser.add_argument(
+    schedule.add_argument(
         "--threshold", type=float, default=1.0,
         help=(
             "ULE-capacity overflow factor for --policy utilization "
             "(default: 1.0)"
         ),
     )
-    schedule_parser.add_argument(
+    schedule.add_argument(
         "--budget-mj", type=float, default=None,
         help="energy budget in mJ (required by --policy budget)",
     )
-    schedule_parser.add_argument(
+    schedule.add_argument(
         "--objective", choices=("energy", "time"), default="energy",
         help="what --policy oracle minimizes (default: energy)",
     )
-    schedule_parser.add_argument(
-        "--scenario", choices=("A", "B"), default="A",
-        help="paper scenario whose chips to schedule (default: A)",
-    )
-    schedule_parser.add_argument(
-        "--chip", choices=("proposed", "baseline"), default="proposed",
-        help="which of the scenario's chips to run (default: proposed)",
-    )
-    schedule_parser.add_argument(
+    schedule.add_argument(
         "--workload", default="sensor",
         help=(
-            "'sensor' (phased monitoring+burst trace) or a benchmark "
-            "name, e.g. adpcm_c (default: sensor)"
+            "'sensor' (phased monitoring+burst trace), a mix "
+            "mix1..mix7, an ingested trace or a benchmark name, e.g. "
+            "adpcm_c (default: sensor)"
         ),
     )
-    schedule_parser.add_argument(
-        "--trace-length", type=_positive_int, default=100_000,
-        help="dynamic instructions of the workload (default: 100000)",
+    _flags(
+        schedule, "--scenario", "--chip", "--trace-length", "--seed",
+        *_TRANSIENT, *_REPORT, *_ENGINE, trace_length=100_000,
     )
-    schedule_parser.add_argument(
-        "--seed", type=int, default=None, help="root random seed"
-    )
-    _add_transient_options(schedule_parser)
-    schedule_parser.add_argument(
-        "--out", type=pathlib.Path, default=None,
-        help="also write the report to this file",
-    )
-    schedule_parser.add_argument(
-        "--save-json", type=pathlib.Path, default=None,
-        help="write the machine-readable schedule ledger to this file",
-    )
-    _add_engine_options(schedule_parser)
 
-    population_parser = commands.add_parser(
-        "population",
-        help="simulate a die population sampled from the variation models",
+    population = command(
+        "population", _cmd_population,
+        "simulate a die population sampled from the variation models",
     )
-    population_parser.add_argument(
+    population.add_argument(
         "--dies", type=_positive_int, default=100,
         help="population size (default: 100; identical dies dedup)",
     )
-    population_parser.add_argument(
+    population.add_argument(
         "--percentiles", type=_parse_percentiles, default=None,
         help="population percentiles, e.g. \"50,90,95,99\"",
     )
-    population_parser.add_argument(
-        "--scenario", choices=("A", "B"), default="A",
-        help="paper scenario whose chip to populate (default: A)",
+    _flags(
+        population, "--scenario", "--chip", "--trace-length", "--suite",
+        "--seed", *_TRANSIENT, *_REPORT, *_ENGINE, suite="paper",
     )
-    population_parser.add_argument(
-        "--chip", choices=("proposed", "baseline"), default="proposed",
-        help="which of the scenario's chips to run (default: proposed)",
-    )
-    population_parser.add_argument(
-        "--trace-length", type=_positive_int, default=None,
-        help="dynamic instructions per benchmark",
-    )
-    population_parser.add_argument(
-        "--suite", default="paper",
-        help=(
-            "workload suite per die: paper (mode-split default), "
-            "smallbench, bigbench, all, or a mix1..mix7 "
-            "multi-programmed mix"
-        ),
-    )
-    population_parser.add_argument(
-        "--seed", type=int, default=None, help="root random seed"
-    )
-    _add_transient_options(population_parser)
-    population_parser.add_argument(
-        "--out", type=pathlib.Path, default=None,
-        help="also write the report to this file",
-    )
-    population_parser.add_argument(
-        "--save-json", type=pathlib.Path, default=None,
-        help="write the machine-readable population results here",
-    )
-    _add_engine_options(population_parser)
 
-    transients_parser = commands.add_parser(
-        "transients",
-        help=(
-            "soft-error injection study: DUE-vs-Vdd curve + "
-            "trace-observed recovery accounting"
-        ),
+    transients = command(
+        "transients", _cmd_transients,
+        "soft-error injection study: DUE-vs-Vdd curve + "
+        "trace-observed recovery accounting",
     )
-    transients_parser.add_argument(
-        "--scenario", choices=("A", "B"), default="B",
-        help="paper scenario whose chips to inject (default: B)",
-    )
-    transients_parser.add_argument(
+    transients.add_argument(
         "--acceleration", type=float, default=None,
         help="upset-rate acceleration (default: 1e16)",
     )
-    _add_scrub_option(transients_parser)
-    transients_parser.add_argument(
+    transients.add_argument(
         "--intervals", type=_positive_int, default=400,
         help=(
             "scrub intervals the FIT enumeration covers per array "
             "(default: 400)"
         ),
     )
-    transients_parser.add_argument(
-        "--trace-length", type=_positive_int, default=None,
-        help="dynamic instructions per benchmark",
+    _flags(
+        transients, "--scenario", "--scrub-us", "--trace-length",
+        "--seed", *_REPORT, *_ENGINE, scenario="B",
     )
-    transients_parser.add_argument(
-        "--seed", type=int, default=None, help="root random seed"
-    )
-    transients_parser.add_argument(
-        "--out", type=pathlib.Path, default=None,
-        help="also write the report to this file",
-    )
-    transients_parser.add_argument(
-        "--save-json", type=pathlib.Path, default=None,
-        help=(
-            "write the machine-readable results (incl. the "
-            "DUE-vs-Vdd curve) to this file"
-        ),
-    )
-    _add_engine_options(transients_parser)
 
-    serve_parser = commands.add_parser(
-        "serve",
-        help=(
-            "run the fleet simulation service: HTTP job API over a "
-            "shared sharded result store"
-        ),
+    serve = command(
+        "serve", _cmd_serve,
+        "run the fleet simulation service: HTTP job API over a shared "
+        "sharded result store",
     )
-    serve_parser.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default: 127.0.0.1)",
-    )
-    serve_parser.add_argument(
-        "--port", type=int, default=8642,
-        help="bind port; 0 picks an ephemeral one (default: 8642)",
-    )
-    serve_parser.add_argument(
-        "--cache-dir", type=pathlib.Path, default=None,
-        help=(
-            "shared result-store root; the same directory a library "
-            "session's --cache-dir uses, so service and library runs "
-            "dedup against each other (default: in-memory only)"
-        ),
-    )
-    serve_parser.add_argument(
+    serve.add_argument(
         "--workers", type=_positive_int, default=2,
         help="executor threads / max in-flight simulations (default: 2)",
     )
-    serve_parser.add_argument(
-        "--backend", choices=("auto", "vectorized", "reference"),
-        default="auto", help="simulation backend (default: auto)",
-    )
-    serve_parser.add_argument(
+    serve.add_argument(
         "--queue-capacity", type=_positive_int, default=256,
         help=(
             "admission-queue bound; beyond it submissions shed with "
             "reason 'saturated' (default: 256)"
         ),
     )
-    serve_parser.add_argument(
+    serve.add_argument(
         "--tenant-quota", type=_positive_int, default=None,
         help=(
             "max outstanding jobs per tenant; beyond it submissions "
             "shed with reason 'quota' (default: unlimited)"
         ),
     )
+    _flags(serve, "--host", "--port", "--cache-dir", "--backend")
 
-    submit_parser = commands.add_parser(
-        "submit",
-        help="submit simulation jobs to a running fleet service",
+    submit = command(
+        "submit", _cmd_submit,
+        "submit simulation jobs to a running fleet service",
     )
-    submit_parser.add_argument(
-        "--host", default="127.0.0.1",
-        help="service address (default: 127.0.0.1)",
-    )
-    submit_parser.add_argument(
-        "--port", type=int, default=8642,
-        help="service port (default: 8642)",
-    )
-    submit_parser.add_argument(
+    submit.add_argument(
         "--tenant", default="cli",
         help="tenant id for quotas and fair-share (default: cli)",
     )
-    submit_parser.add_argument(
+    submit.add_argument(
         "--benchmarks", default="adpcm_c",
         help="comma-separated benchmark names (default: adpcm_c)",
     )
-    submit_parser.add_argument(
+    submit.add_argument(
         "--seeds", default="1",
         help="comma-separated trace seeds (default: 1)",
     )
-    submit_parser.add_argument(
-        "--trace-length", type=_positive_int, default=20_000,
-        help="dynamic instructions per trace (default: 20000)",
-    )
-    submit_parser.add_argument(
+    submit.add_argument(
         "--mode", choices=("ule", "hp"), default="ule",
         help="operating mode (default: ule)",
     )
-    submit_parser.add_argument(
-        "--scenario", choices=("A", "B"), default="A",
-        help="paper scenario whose chips to run (default: A)",
-    )
-    submit_parser.add_argument(
-        "--chip", choices=("proposed", "baseline"), default="proposed",
-        help="which of the scenario's chips to run (default: proposed)",
-    )
-    submit_parser.add_argument(
+    submit.add_argument(
         "--timeout", type=float, default=600.0,
         help="seconds to wait for completion (default: 600)",
     )
-
-    pareto_parser = commands.add_parser(
-        "pareto",
-        help="re-reduce a saved sweep (from sweep --save-json)",
+    _flags(
+        submit, "--host", "--port", "--trace-length", "--scenario",
+        "--chip", trace_length=20_000,
     )
-    pareto_parser.add_argument(
+
+    pareto = command(
+        "pareto", _cmd_pareto,
+        "re-reduce a saved sweep (from sweep --save-json)",
+    )
+    pareto.add_argument(
         "results", type=pathlib.Path,
         help="campaign JSON written by sweep --save-json",
     )
-    pareto_parser.add_argument(
+    pareto.add_argument(
         "--objectives", default=None,
         help=(
             "comma-separated metric[:min|:max] list, e.g. "
             "epi_ule:min,area_mm2:min,yield:max"
         ),
     )
-    pareto_parser.add_argument(
-        "--top", type=_positive_int, default=20,
-        help="ranked candidates to print (default: 20)",
-    )
+    _flags(pareto, "--top")
 
-    ingest_parser = commands.add_parser(
-        "ingest",
-        help=(
-            "parse a real-workload trace file (DRAMSim2 k6 or "
-            "Pin/DynamoRIO memtrace) into the trace store"
-        ),
+    ingest = command(
+        "ingest", _cmd_ingest,
+        "parse a real-workload trace file (DRAMSim2 k6 or Pin/DynamoRIO "
+        "memtrace) into the trace store",
     )
-    ingest_parser.add_argument(
+    ingest.add_argument(
         "trace_file", type=pathlib.Path,
         help="the text trace file to ingest",
     )
-    ingest_parser.add_argument(
+    ingest.add_argument(
         "--format", choices=("k6", "memtrace"), default=None,
         help="input format (default: sniffed from the first line)",
     )
-    ingest_parser.add_argument(
+    ingest.add_argument(
         "--name", default=None,
         help=(
             "catalog name for the trace (default: the file stem); "
@@ -653,49 +537,67 @@ def _build_parser() -> argparse.ArgumentParser:
             "using that component picks up the real trace"
         ),
     )
-    ingest_parser.add_argument(
+    ingest.add_argument(
         "--limit", type=_positive_int, default=None,
         help="keep at most this many records",
     )
-    ingest_parser.add_argument(
+    ingest.add_argument(
         "--skip", type=int, default=0,
         help="drop this many records first (windowing; default: 0)",
     )
-    ingest_parser.add_argument(
+    ingest.add_argument(
         "--force", action="store_true",
         help="allow re-pointing an existing catalog name at new content",
     )
-    ingest_parser.add_argument(
-        "--store", type=pathlib.Path, default=None,
-        help=(
-            "trace store root (default: $REPRO_TRACE_STORE or the "
-            "per-user store)"
-        ),
-    )
+    _flags(ingest, "--store")
 
-    traces_parser = commands.add_parser(
-        "traces",
-        help="inspect the ingested-trace catalog",
+    traces = command(
+        "traces", _cmd_traces, "inspect the ingested-trace catalog"
     )
-    traces_parser.add_argument(
+    traces.add_argument(
         "action", choices=("list", "verify"),
         help=(
             "list: the catalog with provenance; verify: re-hash "
             "stored bytes against their content addresses"
         ),
     )
-    traces_parser.add_argument(
+    traces.add_argument(
         "names", nargs="*",
         help="restrict to these catalog names (default: all)",
     )
-    traces_parser.add_argument(
-        "--store", type=pathlib.Path, default=None,
-        help=(
-            "trace store root (default: $REPRO_TRACE_STORE or the "
-            "per-user store)"
-        ),
-    )
+    _flags(traces, "--store")
     return parser
+
+
+# ------------------------------------------------------------- helpers
+def _seed(args: argparse.Namespace) -> int:
+    """``--seed``, or the calibrated default seed."""
+    from repro.core.calibration import DEFAULT_SEED
+
+    return DEFAULT_SEED if args.seed is None else args.seed
+
+
+def _trace_length(args: argparse.Namespace) -> int:
+    """``--trace-length``, or the calibrated default length."""
+    from repro.core.calibration import DEFAULT_TRACE_LENGTH
+
+    if args.trace_length is None:
+        return DEFAULT_TRACE_LENGTH
+    return args.trace_length
+
+
+def _transient_spec(args: argparse.Namespace, seed: int):
+    """The TransientSpec of a command's flags (None = injection off)."""
+    if args.transient_accel is None:
+        return None
+    from repro.transients import TransientSpec
+    from repro.util.rng import derive_seed
+
+    return TransientSpec(
+        acceleration=args.transient_accel,
+        scrub_interval_seconds=args.scrub_us * 1e-6,
+        seed=derive_seed(seed, "transients"),
+    )
 
 
 def _run_kwargs(
@@ -712,21 +614,31 @@ def _run_kwargs(
     from repro.experiments.registry import experiment_parameters
 
     accepted = experiment_parameters(experiment_id)
-    kwargs = {}
-    trace_length = getattr(args, "trace_length", None)
-    if "trace_length" in accepted and trace_length is not None:
-        kwargs["trace_length"] = trace_length
-    seed = getattr(args, "seed", None)
-    if "seed" in accepted and seed is not None:
-        if derive_child_seed:
-            from repro.util.rng import derive_seed
+    kwargs = {
+        name: getattr(args, name, None)
+        for name in ("trace_length", "seed", "carbon")
+        if name in accepted and getattr(args, name, None) is not None
+    }
+    if derive_child_seed and "seed" in kwargs:
+        from repro.util.rng import derive_seed
 
-            seed = derive_seed(seed, "all", experiment_id)
-        kwargs["seed"] = seed
-    carbon = getattr(args, "carbon", None)
-    if "carbon" in accepted and carbon is not None:
-        kwargs["carbon"] = carbon
+        kwargs["seed"] = derive_seed(kwargs["seed"], "all", experiment_id)
     return kwargs
+
+
+def _read_campaign(path: pathlib.Path) -> dict:
+    """The JSON document a ``sweep --save-json`` wrote to ``path``."""
+    import json
+
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as error:
+        raise ValueError(f"cannot read {path}: {error}") from None
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{path} is not valid JSON: {error}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} does not hold a saved campaign")
+    return payload
 
 
 def _progress_printer(tag: str):
@@ -751,204 +663,187 @@ def _print_session_stats(tag: str, session) -> None:
     )
 
 
-def _make_session(args: argparse.Namespace):
-    """A SimulationSession configured from the engine options."""
-    from repro.engine.session import SimulationSession
+def _emit(
+    args: argparse.Namespace, rendered: str, payload, saved: str = "results"
+) -> int:
+    """Print a report, then honour ``--out`` and ``--save-json``.
 
-    jobs = args.jobs
-    if args.profile and jobs > 1:
-        print(
-            "[note] --profile times the driving process only; "
-            "forcing --jobs 1",
-            file=sys.stderr,
+    ``payload()`` builds the JSON document, only when it is saved;
+    stderr then names what was saved (e.g. ``[sweep] campaign saved``).
+    """
+    print(rendered)
+    if args.out:
+        args.out.write_text(rendered + "\n", encoding="utf-8")
+    if args.save_json:
+        import json
+
+        args.save_json.write_text(
+            json.dumps(payload(), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
         )
-        jobs = 1
-    return SimulationSession(
-        jobs=jobs, backend=args.backend, cache_dir=args.cache_dir
+        print(f"[{args.command}] {saved} saved -> {args.save_json}",
+              file=sys.stderr)
+    return 0
+
+
+def _stamped(payload: dict, config) -> dict:
+    """``payload`` with ``meta.cell_technologies`` of a chip config."""
+    from repro.cells import technology_tokens
+
+    payload["meta"]["cell_technologies"] = list(technology_tokens(config))
+    return payload
+
+
+def _simulating(handler):
+    """Run ``handler(args, session)`` under the engine flags' session.
+
+    The session is also the current one for the pipeline's own
+    submissions; ``--profile`` prints the phase table after the report.
+    """
+
+    def run(args: argparse.Namespace) -> int:
+        from repro.engine.session import SimulationSession, use_session
+        from repro.util.profiling import profiled
+
+        jobs = args.jobs
+        if args.profile and jobs > 1:
+            print(
+                "[note] --profile times the driving process only; "
+                "forcing --jobs 1",
+                file=sys.stderr,
+            )
+            jobs = 1
+        session = SimulationSession(
+            jobs=jobs, backend=args.backend, cache_dir=args.cache_dir
+        )
+        with session, use_session(session):
+            if not args.profile:
+                return handler(args, session)
+            with profiled() as profiler:
+                status = handler(args, session)
+            print()
+            print(profiler.render())
+            return status
+
+    return run
+
+
+# ----------------------------------------------------------- handlers
+def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.experiments import list_experiments
+    from repro.experiments.registry import experiment_parameters
+
+    for experiment_id in list_experiments():
+        parameters = ", ".join(sorted(experiment_parameters(experiment_id)))
+        print(f"{experiment_id:<20} ({parameters})")
+    return 0
+
+
+def _cmd_design(args: argparse.Namespace) -> int:
+    from repro.core import Scenario, design_scenario
+
+    design = design_scenario(Scenario(args.scenario))
+    print(design.summary())
+    if args.seed is not None:
+        print()
+        print(_design_mc_check(design, args.seed))
+    return 0
+
+
+@_simulating
+def _cmd_run(args: argparse.Namespace, session) -> int:
+    from repro.experiments import run_experiment
+
+    result = run_experiment(
+        args.experiment, **_run_kwargs(args, args.experiment)
     )
 
+    def payload() -> dict:
+        import dataclasses
 
-def _dispatch(args: argparse.Namespace) -> int:
-    from repro.experiments import list_experiments, run_experiment
+        fields = dataclasses.asdict(result)
+        del fields["body"]  # the report itself; --out saves that
+        return fields
 
-    if args.command == "run":
-        result = run_experiment(
-            args.experiment, **_run_kwargs(args, args.experiment)
-        )
-        rendered = result.render()
-        print(rendered)
-        if args.out:
-            args.out.write_text(rendered + "\n", encoding="utf-8")
-        if args.save_json:
-            import dataclasses
-            import json
+    return _emit(args, result.render(), payload)
 
-            payload = {
-                "experiment_id": result.experiment_id,
-                "title": result.title,
-                "comparisons": [
-                    dataclasses.asdict(comparison)
-                    for comparison in result.comparisons
-                ],
-                "data": result.data,
-            }
-            args.save_json.write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            print(f"[run] results saved -> {args.save_json}",
-                  file=sys.stderr)
-        return 0
 
-    if args.command == "all":
-        from repro.engine.session import current_session
+@_simulating
+def _cmd_all(args: argparse.Namespace, session) -> int:
+    from repro.experiments import list_experiments
 
-        args.out_dir.mkdir(parents=True, exist_ok=True)
-        experiment_ids = list_experiments()
+    args.out_dir.mkdir(parents=True, exist_ok=True)
 
-        def write_report(experiment_id: str, result) -> None:
-            path = args.out_dir / f"{experiment_id}.txt"
-            path.write_text(result.render() + "\n", encoding="utf-8")
-            print(f"[done] {experiment_id} -> {path}")
+    def write_report(experiment_id: str, result) -> None:
+        path = args.out_dir / f"{experiment_id}.txt"
+        path.write_text(result.render() + "\n", encoding="utf-8")
+        print(f"[done] {experiment_id} -> {path}")
 
-        session = current_session()
-        kwargs_by_id = {
+    experiment_ids = list_experiments()
+    # Reports are written as each experiment completes, so a late
+    # failure or interrupt keeps the finished work.
+    session.run_experiments(
+        experiment_ids,
+        {
             experiment_id: _run_kwargs(
                 args, experiment_id, derive_child_seed=True
             )
             for experiment_id in experiment_ids
-        }
-        if session.jobs > 1 and len(experiment_ids) > 1:
-            # Reports are written from the completion callback, so one
-            # failing experiment cannot discard the finished ones.
-            session.run_experiments(
-                experiment_ids, kwargs_by_id, on_result=write_report
-            )
-        else:
-            # Serial: persist each report as its experiment completes,
-            # so a late failure or interrupt keeps the finished work.
-            for experiment_id in experiment_ids:
-                result = run_experiment(
-                    experiment_id, **kwargs_by_id[experiment_id]
-                )
-                write_report(experiment_id, result)
-        return 0
-
-    if args.command == "sweep":
-        return _dispatch_sweep(args)
-
-    if args.command == "schedule":
-        return _dispatch_schedule(args)
-
-    if args.command == "population":
-        return _dispatch_population(args)
-
-    if args.command == "transients":
-        return _dispatch_transients(args)
-
-    raise AssertionError("unreachable")
+        },
+        on_result=write_report,
+    )
+    return 0
 
 
-def _dispatch_transients(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core import calibration
-    from repro.engine.session import current_session
+@_simulating
+def _cmd_transients(args: argparse.Namespace, session) -> int:
     from repro.experiments.transients_table import (
         DEFAULT_ACCELERATION,
         run_transients,
     )
 
-    session = current_session()
     result = run_transients(
-        trace_length=(
-            args.trace_length
-            if args.trace_length is not None
-            else calibration.DEFAULT_TRACE_LENGTH
-        ),
-        seed=(
-            args.seed if args.seed is not None
-            else calibration.DEFAULT_SEED
-        ),
+        trace_length=_trace_length(args),
+        seed=_seed(args),
         scenario=args.scenario,
         acceleration=(
-            args.acceleration
-            if args.acceleration is not None
-            else DEFAULT_ACCELERATION
+            DEFAULT_ACCELERATION
+            if args.acceleration is None
+            else args.acceleration
         ),
         scrub_interval_us=args.scrub_us,
         intervals=args.intervals,
     )
     _print_session_stats("transients", session)
-    rendered = result.render()
-    print(rendered)
-    if args.out:
-        args.out.write_text(rendered + "\n", encoding="utf-8")
-    if args.save_json:
-        args.save_json.write_text(
-            json.dumps(result.data, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        print(f"[transients] results saved -> {args.save_json}",
-              file=sys.stderr)
-    return 0
+    return _emit(args, result.render(), lambda: result.data)
 
 
-def _dispatch_population(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core import calibration
-    from repro.engine.session import current_session
+@_simulating
+def _cmd_population(args: argparse.Namespace, session) -> int:
     from repro.faults.population import (
         DEFAULT_PERCENTILES,
         scenario_population_study,
     )
 
-    seed = (
-        args.seed if args.seed is not None
-        else calibration.DEFAULT_SEED
+    seed = _seed(args)
+    study = scenario_population_study(
+        args.scenario,
+        chip=args.chip,
+        dies=args.dies,
+        trace_length=_trace_length(args),
+        seed=seed,
+        percentiles=args.percentiles or DEFAULT_PERCENTILES,
+        transients=_transient_spec(args, seed),
+        suite=str(args.suite).lower(),
     )
-    try:
-        study = scenario_population_study(
-            args.scenario,
-            chip=args.chip,
-            dies=args.dies,
-            trace_length=(
-                args.trace_length
-                if args.trace_length is not None
-                else calibration.DEFAULT_TRACE_LENGTH
-            ),
-            seed=seed,
-            percentiles=args.percentiles or DEFAULT_PERCENTILES,
-            transients=_transient_spec(args, seed),
-            suite=str(args.suite).lower(),
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    session = current_session()
     result = study.run(
         session=session, progress=_progress_printer("population")
     )
     _print_session_stats("population", session)
-    rendered = result.render()
-    print(rendered)
-    if args.out:
-        args.out.write_text(rendered + "\n", encoding="utf-8")
-    if args.save_json:
-        from repro.cells import technology_tokens
-
-        payload = result.to_dict()
-        payload["meta"]["cell_technologies"] = list(
-            technology_tokens(study.chip)
-        )
-        args.save_json.write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        print(f"[population] results saved -> {args.save_json}",
-              file=sys.stderr)
-    return 0
+    return _emit(
+        args, result.render(),
+        lambda: _stamped(result.to_dict(), study.chip),
+    )
 
 
 def _schedule_trace(args: argparse.Namespace, seed: int):
@@ -995,36 +890,24 @@ def _schedule_trace(args: argparse.Namespace, seed: int):
     )
 
 
-def _dispatch_schedule(args: argparse.Namespace) -> int:
-    import json
-
+@_simulating
+def _cmd_schedule(args: argparse.Namespace, session) -> int:
     from repro.core import Scenario, build_chips, design_scenario
-    from repro.core.calibration import DEFAULT_SEED
-    from repro.engine.session import current_session
     from repro.runtime import ScheduleSimulator, policy_by_name
 
-    try:
-        policy = policy_by_name(
-            args.policy,
-            hp_duty=args.duty,
-            threshold=args.threshold,
-            budget_joules=(
-                args.budget_mj * 1e-3
-                if args.budget_mj is not None
-                else None
-            ),
-            objective=args.objective,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
+    policy = policy_by_name(
+        args.policy,
+        hp_duty=args.duty,
+        threshold=args.threshold,
+        budget_joules=(
+            None if args.budget_mj is None else args.budget_mj * 1e-3
+        ),
+        objective=args.objective,
+    )
+    seed = _seed(args)
     trace = _schedule_trace(args, seed)
     chips = build_chips(design_scenario(Scenario(args.scenario)))
     chip = getattr(chips, args.chip)
-
-    session = current_session()
     simulator = ScheduleSimulator(
         chip,
         policy,
@@ -1035,31 +918,68 @@ def _dispatch_schedule(args: argparse.Namespace) -> int:
     )
     result = simulator.run(trace, progress=_progress_printer("schedule"))
     _print_session_stats("schedule", session)
-    rendered = result.render()
-    print(rendered)
-    if args.out:
-        args.out.write_text(rendered + "\n", encoding="utf-8")
-    if args.save_json:
-        from repro.cells import technology_tokens
+    return _emit(
+        args, result.render(),
+        lambda: _stamped(result.to_dict(), chip.config), "ledger",
+    )
 
-        payload = result.to_dict()
-        payload["meta"]["cell_technologies"] = list(
-            technology_tokens(chip.config)
+
+def _resumed_metrics(args: argparse.Namespace, campaign, seed: int):
+    """Candidate metrics of the ``--resume`` campaign, by name.
+
+    The saved run must match this one's trace length, seed, die count
+    and cell technologies; a different engine version only warns.
+    """
+    payload = _read_campaign(args.resume)
+    meta = payload.get("meta", {})
+    mismatched = [
+        f"{key} (saved {meta.get(key)!r}, requested {wanted!r})"
+        for key, wanted in (
+            ("trace_length", args.trace_length),
+            ("seed", seed),
+            ("dies", max(args.dies, 0)),
         )
-        args.save_json.write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
+        if meta.get(key) != wanted
+    ]
+    if mismatched:
+        raise ValueError(
+            "--resume campaign was run with different settings: "
+            + ", ".join(mismatched)
         )
-        print(f"[schedule] ledger saved -> {args.save_json}",
-              file=sys.stderr)
-    return 0
+    saved_cells = meta.get("cell_technologies")
+    if saved_cells is not None:
+        # Saved metrics embed each candidate's priced physics; adopting
+        # rows measured on different cell technologies would silently
+        # mix incompatible hardware — hard-error, like the checks above.
+        wanted_cells = list(campaign.expected_technologies())
+        if list(saved_cells) != wanted_cells:
+            raise ValueError(
+                "--resume campaign covers different cell technologies: "
+                f"saved {list(saved_cells)!r}, requested {wanted_cells!r}"
+            )
+    saved_fingerprint = meta.get("engine_fingerprint")
+    if saved_fingerprint is not None:
+        from repro.engine.jobs import _code_fingerprint
+
+        if saved_fingerprint != _code_fingerprint():
+            # Soft warning, not an error: name-matched candidates still
+            # adopt their saved metrics, but anything the saved campaign
+            # does not cover gets fresh job keys — the old disk-cache
+            # generation no longer applies.
+            print(
+                "warning: --resume campaign was produced by a "
+                "different engine version; non-reused candidates' "
+                "results will re-simulate (engine changed)",
+                file=sys.stderr,
+            )
+    return {
+        entry["name"]: entry["metrics"]
+        for entry in payload.get("candidates", [])
+    }
 
 
-def _dispatch_sweep(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core import calibration
-    from repro.engine.session import current_session
+@_simulating
+def _cmd_sweep(args: argparse.Namespace, session) -> int:
     from repro.explore import (
         ExplorationCampaign,
         SurrogateSettings,
@@ -1067,37 +987,28 @@ def _dispatch_sweep(args: argparse.Namespace) -> int:
     )
     from repro.explore.candidates import CANDIDATE_AXES
 
-    if not args.surrogate:
-        surrogate_only = [
-            name
-            for name, value in (
-                ("--budget", args.budget),
-                ("--seed-candidates", args.seed_candidates),
-                ("--round-size", args.round_size),
-                ("--hv-tol", args.hv_tol),
-                ("--patience", args.patience),
-            )
-            if value is not None
-        ]
-        if surrogate_only:
-            print(
-                f"error: {', '.join(surrogate_only)} "
-                "require(s) --surrogate",
-                file=sys.stderr,
-            )
-            return 2
-
-    sampler = args.sampler
-    if sampler is None:
-        # A budgeted default sweep must cover the space, not a
-        # row-major corner of it: switch to the low-discrepancy walk.
-        sampler = "halton" if args.samples is not None else "grid"
-    if sampler != "grid" and args.samples is None:
-        print(
-            f"error: --sampler {sampler} needs --samples",
-            file=sys.stderr,
+    surrogate_only = [
+        name
+        for name, value in (
+            ("--budget", args.budget),
+            ("--seed-candidates", args.seed_candidates),
+            ("--round-size", args.round_size),
+            ("--hv-tol", args.hv_tol),
+            ("--patience", args.patience),
         )
-        return 2
+        if value is not None
+    ]
+    if surrogate_only and not args.surrogate:
+        raise ValueError(
+            f"{', '.join(surrogate_only)} require(s) --surrogate"
+        )
+    # A budgeted default sweep must cover the space, not a row-major
+    # corner of it: switch to the low-discrepancy walk.
+    sampler = args.sampler or (
+        "halton" if args.samples is not None else "grid"
+    )
+    if sampler != "grid" and args.samples is None:
+        raise ValueError(f"--sampler {sampler} needs --samples")
 
     space = default_space()
     if args.suite is not None:
@@ -1105,53 +1016,37 @@ def _dispatch_sweep(args: argparse.Namespace) -> int:
 
         suite = str(args.suite).lower()
         if suite not in known_suite_names():
-            print(
-                f"error: unknown suite {args.suite!r}; known: "
-                f"{known_suite_names()}",
-                file=sys.stderr,
+            raise ValueError(
+                f"unknown suite {args.suite!r}; known: "
+                f"{known_suite_names()}"
             )
-            return 2
         space = space.with_overrides({"suite": (suite,)})
     if args.axes:
         unknown = sorted(set(args.axes) - set(CANDIDATE_AXES))
         if unknown:
-            print(
-                f"error: unknown axes {unknown}; known: "
-                f"{', '.join(CANDIDATE_AXES)}",
-                file=sys.stderr,
+            raise ValueError(
+                f"unknown axes {unknown}; known: "
+                f"{', '.join(CANDIDATE_AXES)}"
             )
-            return 2
         space = space.with_overrides(args.axes)
     if args.backend == "vectorized":
-        policies = next(
-            (
-                axis.values
-                for axis in space.axes
-                if axis.name == "replacement"
-            ),
-            ("lru",),
-        )
         non_lru = sorted(
-            str(p) for p in policies if str(p).lower() != "lru"
+            str(policy)
+            for axis in space.axes if axis.name == "replacement"
+            for policy in axis.values if str(policy).lower() != "lru"
         )
         if non_lru:
-            print(
-                f"error: --backend {args.backend} models LRU "
-                f"replacement only, but the space sweeps {non_lru}; "
-                "use --backend auto (falls back per candidate)",
-                file=sys.stderr,
+            raise ValueError(
+                f"--backend {args.backend} models LRU replacement only, "
+                f"but the space sweeps {non_lru}; use --backend auto "
+                "(falls back per candidate)"
             )
-            return 2
-    seed = args.seed if args.seed is not None else calibration.DEFAULT_SEED
+    seed = _seed(args)
     carbon_intensity = None
     if args.carbon is not None:
         from repro.sustainability import grid_intensity
 
-        try:
-            carbon_intensity = grid_intensity(args.carbon)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        carbon_intensity = grid_intensity(args.carbon)
     campaign = ExplorationCampaign(
         space=space,
         sampler=sampler,
@@ -1162,63 +1057,11 @@ def _dispatch_sweep(args: argparse.Namespace) -> int:
         transients=_transient_spec(args, seed),
         carbon_intensity=carbon_intensity,
     )
-
     reuse = None
     if args.resume:
-        payload = json.loads(args.resume.read_text(encoding="utf-8"))
-        meta = payload.get("meta", {})
-        mismatched = [
-            f"{key} (saved {meta.get(key)!r}, requested {wanted!r})"
-            for key, wanted in (
-                ("trace_length", args.trace_length),
-                ("seed", seed),
-                ("dies", max(args.dies, 0)),
-            )
-            if meta.get(key) != wanted
-        ]
-        if mismatched:
-            print(
-                "error: --resume campaign was run with different "
-                f"settings: {', '.join(mismatched)}",
-                file=sys.stderr,
-            )
-            return 2
-        saved_cells = meta.get("cell_technologies")
-        if saved_cells is not None:
-            # Saved metrics embed each candidate's priced physics;
-            # adopting rows measured on different cell technologies
-            # would silently mix incompatible hardware — hard-error,
-            # like the trace-length and seed checks above.
-            wanted_cells = list(campaign.expected_technologies())
-            if list(saved_cells) != wanted_cells:
-                print(
-                    "error: --resume campaign covers different cell "
-                    f"technologies: saved {list(saved_cells)!r}, "
-                    f"requested {wanted_cells!r}",
-                    file=sys.stderr,
-                )
-                return 2
-        saved_fingerprint = meta.get("engine_fingerprint")
-        if saved_fingerprint is not None:
-            from repro.engine.jobs import _code_fingerprint
+        reuse = _resumed_metrics(args, campaign, seed)
 
-            if saved_fingerprint != _code_fingerprint():
-                # Soft warning, not an error: name-matched candidates
-                # still adopt their saved metrics, but anything the
-                # saved campaign does not cover gets fresh job keys —
-                # the old disk-cache generation no longer applies.
-                print(
-                    "warning: --resume campaign was produced by a "
-                    "different engine version; non-reused candidates' "
-                    "results will re-simulate (engine changed)",
-                    file=sys.stderr,
-                )
-        reuse = {
-            entry["name"]: entry["metrics"]
-            for entry in payload.get("candidates", [])
-        }
-
-    session = current_session()
+    progress = _progress_printer("sweep")
     if args.surrogate:
         settings = SurrogateSettings(
             budget=args.budget,
@@ -1230,53 +1073,61 @@ def _dispatch_sweep(args: argparse.Namespace) -> int:
         result = campaign.run_surrogate(
             session=session,
             settings=settings,
-            progress=_progress_printer("sweep"),
+            progress=progress,
             reuse=reuse,
         )
     else:
         result = campaign.run(
-            session=session,
-            progress=_progress_printer("sweep"),
-            reuse=reuse,
+            session=session, progress=progress, reuse=reuse
         )
     _print_session_stats("sweep", session)
-    rendered = result.render_report(top=args.top)
-    print(rendered)
-    if args.out:
-        args.out.write_text(rendered + "\n", encoding="utf-8")
-    if args.save_json:
-        args.save_json.write_text(
-            json.dumps(result.to_dict(), sort_keys=True, indent=2)
-            + "\n",
-            encoding="utf-8",
+    return _emit(
+        args, result.render_report(top=args.top), result.to_dict,
+        "campaign",
+    )
+
+
+def _cmd_pareto(args: argparse.Namespace) -> int:
+    from repro.explore.pareto import Objective, render_saved_campaign
+
+    payload = _read_campaign(args.results)
+    objectives = None
+    if args.objectives:
+        objectives = tuple(
+            Objective.parse(text.strip())
+            for text in args.objectives.split(",")
+            if text.strip()
         )
-        print(f"[sweep] campaign saved -> {args.save_json}",
-              file=sys.stderr)
+        if not objectives:
+            raise ValueError(
+                "--objectives names no metrics; use "
+                "metric[:min|:max][,...]"
+            )
+    try:
+        rendered = render_saved_campaign(payload, objectives, top=args.top)
+    except KeyError as error:
+        raise ValueError(
+            f"metric {error} not present in the saved campaign's "
+            "candidates"
+        ) from None
+    print(rendered)
     return 0
 
 
-def _dispatch_ingest(args: argparse.Namespace) -> int:
-    from repro.workloads.ingest import IngestError, ingest_file
+def _cmd_ingest(args: argparse.Namespace) -> int:
+    from repro.workloads.ingest import ingest_file
     from repro.workloads.store import TraceStore
 
     store = TraceStore(args.store)
-    try:
-        entry = ingest_file(
-            args.trace_file,
-            store=store,
-            fmt=args.format,
-            name=args.name,
-            limit=args.limit,
-            skip=max(args.skip, 0),
-            force=args.force,
-        )
-    except OSError as error:
-        print(f"error: cannot read {args.trace_file}: {error}",
-              file=sys.stderr)
-        return 2
-    except (IngestError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    entry = ingest_file(
+        args.trace_file,
+        store=store,
+        fmt=args.format,
+        name=args.name,
+        limit=args.limit,
+        skip=max(args.skip, 0),
+        force=args.force,
+    )
     print(
         f"[ingest] {entry.name}: {entry.length} instructions "
         f"({entry.format}, parser v{entry.parser_version}) -> "
@@ -1285,19 +1136,17 @@ def _dispatch_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dispatch_traces(args: argparse.Namespace) -> int:
+def _cmd_traces(args: argparse.Namespace) -> int:
     from repro.util.tables import Table
     from repro.workloads.store import TraceStore
 
     store = TraceStore(args.store)
     catalog = store.catalog()
     names = tuple(args.names) if args.names else tuple(sorted(catalog))
-    unknown = sorted(set(names) - set(catalog))
     if args.action == "list":
+        unknown = sorted(set(names) - set(catalog))
         if unknown:
-            print(f"error: not in the catalog: {unknown}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"not in the catalog: {unknown}")
         if not names:
             print(f"[traces] catalog at {store.root} is empty "
                   "(run 'repro ingest')")
@@ -1310,12 +1159,9 @@ def _dispatch_traces(args: argparse.Namespace) -> int:
         for name in names:
             entry = catalog[name]
             table.add_row([
-                entry.name,
-                entry.length,
-                entry.format,
+                entry.name, entry.length, entry.format,
                 f"v{entry.parser_version}",
-                f"{entry.source_name} "
-                f"({entry.source_digest[:12]}...)",
+                f"{entry.source_name} ({entry.source_digest[:12]}...)",
                 f"{entry.digest[:12]}...",
             ])
         print(table.render())
@@ -1333,7 +1179,7 @@ def _dispatch_traces(args: argparse.Namespace) -> int:
     return status
 
 
-def _dispatch_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
     from repro.engine.session import DiskResultCache
@@ -1355,16 +1201,11 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
     )
     scheduler.start()
     handle = serve_in_thread(scheduler, host=args.host, port=args.port)
+    quota = f", quota {args.tenant_quota}/tenant" if args.tenant_quota else ""
     print(
         f"[serve] fleet service listening on "
         f"http://{handle.host}:{handle.port} "
-        f"({args.workers} workers, queue {args.queue_capacity}"
-        + (
-            f", quota {args.tenant_quota}/tenant"
-            if args.tenant_quota
-            else ""
-        )
-        + ")",
+        f"({args.workers} workers, queue {args.queue_capacity}{quota})",
         file=sys.stderr,
     )
     try:
@@ -1378,48 +1219,40 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dispatch_submit(args: argparse.Namespace) -> int:
+def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient, ServiceError
-    from repro.service.requests import JobRequest, RequestError
+    from repro.service.requests import JobRequest
     from repro.util.tables import Table
 
-    try:
-        requests = [
-            JobRequest(
-                benchmark=benchmark.strip(),
-                trace_length=args.trace_length,
-                seed=int(seed),
-                mode=args.mode,
-                scenario=args.scenario,
-                chip=args.chip,
-            )
-            for benchmark in args.benchmarks.split(",")
-            if benchmark.strip()
-            for seed in args.seeds.split(",")
-            if seed.strip()
-        ]
-    except (RequestError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    requests = [
+        JobRequest(
+            benchmark=benchmark.strip(),
+            trace_length=args.trace_length,
+            seed=int(seed),
+            mode=args.mode,
+            scenario=args.scenario,
+            chip=args.chip,
+        )
+        for benchmark in args.benchmarks.split(",")
+        if benchmark.strip()
+        for seed in args.seeds.split(",")
+        if seed.strip()
+    ]
     if not requests:
-        print("error: no jobs requested", file=sys.stderr)
-        return 2
+        raise ValueError("no jobs requested")
     client = ServiceClient(
         args.host, args.port, tenant=args.tenant, timeout=args.timeout
     )
     if not client.healthy():
-        print(
-            f"error: no service at http://{args.host}:{args.port} "
-            "(start one with: python -m repro serve)",
-            file=sys.stderr,
+        raise ValueError(
+            f"no service at http://{args.host}:{args.port} "
+            "(start one with: python -m repro serve)"
         )
-        return 2
     try:
         keys = client.submit_all(requests)
         states = client.wait(keys, timeout=args.timeout)
-    except (ServiceError, TimeoutError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    except ServiceError as error:
+        raise ValueError(str(error)) from None
     table = Table(
         ["benchmark", "seed", "mode", "state", "EPI [pJ]", "job key"],
         title=f"{len(requests)} jobs via {args.host}:{args.port} "
@@ -1435,16 +1268,8 @@ def _dispatch_submit(args: argparse.Namespace) -> int:
                 epi = f"{metrics['epi'] * 1e12:.3f}"
         else:
             failed += 1
-        table.add_row(
-            [
-                request.benchmark,
-                str(request.seed),
-                request.mode,
-                state,
-                epi,
-                key[:12],
-            ]
-        )
+        table.add_row([request.benchmark, str(request.seed),
+                       request.mode, state, epi, key[:12]])
     print(table.render())
     stats = client.stats()["scheduler"]
     print(
@@ -1495,100 +1320,21 @@ def _design_mc_check(design, seed: int) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: parse argv, dispatch, return exit status."""
+    """CLI entry point: parse argv, run the subcommand, return its status.
+
+    The one error boundary: a ``ValueError`` (bad input, unreadable or
+    malformed files) or ``OSError`` from any subcommand becomes a single
+    ``repro <cmd>: error: <message>`` stderr line and exit status 2.  A
+    ``BrokenPipeError`` propagates, for the ``__main__`` guard.
+    """
     args = _build_parser().parse_args(argv)
-
-    if args.command == "list":
-        from repro.experiments import list_experiments
-        from repro.experiments.registry import experiment_parameters
-
-        for experiment_id in list_experiments():
-            parameters = ", ".join(sorted(
-                experiment_parameters(experiment_id)
-            ))
-            print(f"{experiment_id:<20} ({parameters})")
-        return 0
-
-    if args.command == "design":
-        from repro.core import Scenario, design_scenario
-
-        design = design_scenario(Scenario(args.scenario))
-        print(design.summary())
-        if args.seed is not None:
-            print()
-            print(_design_mc_check(design, args.seed))
-        return 0
-
-    if args.command == "pareto":
-        import json
-
-        from repro.explore.pareto import Objective, render_saved_campaign
-
-        try:
-            payload = json.loads(args.results.read_text(encoding="utf-8"))
-        except OSError as error:
-            print(f"error: cannot read {args.results}: {error}",
-                  file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as error:
-            print(f"error: {args.results} is not valid JSON: {error}",
-                  file=sys.stderr)
-            return 2
-        objectives = None
-        if args.objectives:
-            try:
-                objectives = tuple(
-                    Objective.parse(text.strip())
-                    for text in args.objectives.split(",")
-                    if text.strip()
-                )
-            except ValueError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            if not objectives:
-                print(
-                    "error: --objectives names no metrics; use "
-                    "metric[:min|:max][,...]",
-                    file=sys.stderr,
-                )
-                return 2
-        try:
-            rendered = render_saved_campaign(
-                payload, objectives, top=args.top
-            )
-        except KeyError as error:
-            print(
-                f"error: metric {error} not present in the saved "
-                "campaign's candidates",
-                file=sys.stderr,
-            )
-            return 2
-        print(rendered)
-        return 0
-
-    if args.command == "ingest":
-        return _dispatch_ingest(args)
-
-    if args.command == "traces":
-        return _dispatch_traces(args)
-
-    if args.command == "serve":
-        return _dispatch_serve(args)
-
-    if args.command == "submit":
-        return _dispatch_submit(args)
-
-    from repro.engine.session import use_session
-    from repro.util.profiling import profiled
-
-    with _make_session(args) as session, use_session(session):
-        if args.profile:
-            with profiled() as profiler:
-                status = _dispatch(args)
-            print()
-            print(profiler.render())
-            return status
-        return _dispatch(args)
+    try:
+        return args.handler(args)
+    except BrokenPipeError:
+        raise
+    except (ValueError, OSError) as error:
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -49,6 +49,22 @@ class TestDocsTree:
                 f"docs/cli.md lacks a section for '{subcommand}'"
             )
 
+    def test_cli_reference_quotes_shared_flag_help(self):
+        """Each shared flag's docs row carries its one help text."""
+        from repro.__main__ import _SHARED_FLAGS
+
+        rows = {
+            line.split("`")[1].split()[0]: line
+            for line in (REPO / "docs" / "cli.md")
+            .read_text(encoding="utf-8")
+            .splitlines()
+            if line.startswith("| `--")
+        }
+        for flag, spec in _SHARED_FLAGS.items():
+            assert f" | {spec['help']} | " in rows.get(flag, ""), (
+                f"docs/cli.md's {flag} row does not quote its help text"
+            )
+
     def test_reproducing_maps_every_paper_artifact(self):
         text = (REPO / "docs" / "reproducing.md").read_text(
             encoding="utf-8"
