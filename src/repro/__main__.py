@@ -452,13 +452,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=_positive_int, default=2,
-        help="executor threads / max in-flight simulations (default: 2)",
+        help=(
+            "executor threads; each runs one same-trace group at a "
+            "time (default: 2)"
+        ),
     )
     serve.add_argument(
         "--queue-capacity", type=_positive_int, default=256,
         help=(
-            "admission-queue bound; beyond it submissions shed with "
-            "reason 'saturated' (default: 256)"
+            "admission bound in queued jobs; beyond it submissions "
+            "shed with reason 'saturated' (default: 256)"
         ),
     )
     serve.add_argument(
@@ -1182,16 +1185,18 @@ def _cmd_traces(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
-    from repro.engine.session import DiskResultCache
+    from repro.engine.store import generation_store
     from repro.service.api import serve_in_thread
     from repro.service.scheduler import ServiceScheduler
 
-    store = None
-    if args.cache_dir is not None:
-        # Route through the engine's generation layer so the service
-        # shares entries (and byte-identical payloads) with any library
-        # session pointing --cache-dir at the same directory.
-        store = DiskResultCache(args.cache_dir).store
+    # The engine's generation store: the service shares entries (and
+    # byte-identical payloads) with any library session pointing
+    # --cache-dir at the same directory.
+    store = (
+        generation_store(args.cache_dir)
+        if args.cache_dir is not None
+        else None
+    )
     scheduler = ServiceScheduler(
         store,
         workers=args.workers,
@@ -1199,8 +1204,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_capacity=args.queue_capacity,
         tenant_quota=args.tenant_quota,
     )
-    scheduler.start()
+    # Bind before starting the workers: a busy port raises here, with
+    # no worker thread left behind.
     handle = serve_in_thread(scheduler, host=args.host, port=args.port)
+    scheduler.start()
     quota = f", quota {args.tenant_quota}/tenant" if args.tenant_quota else ""
     print(
         f"[serve] fleet service listening on "

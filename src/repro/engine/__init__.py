@@ -12,11 +12,14 @@ evaluation pipeline (see DESIGN.md section 5):
   half of the fast path, hoisted so batches reuse it across jobs.
 * :mod:`repro.engine.batch` — trace-grouped execution: shared plans,
   memoized functional simulations, store-backed worker dispatch.
-* :mod:`repro.engine.jobs` — picklable job descriptions and the
-  per-process execution worker.
+* :mod:`repro.engine.jobs` — picklable job descriptions, their
+  content-hash keys and the per-job reference run.
+* :mod:`repro.engine.store` — :class:`ShardedResultStore`: the
+  content-hash-keyed on-disk result store, lock-free across processes,
+  shared by sessions and the simulation service.
 * :mod:`repro.engine.session` — :class:`SimulationSession`: batch
   submission with deduplication, multi-process dispatch and
-  content-hash-keyed on-disk memoization.
+  on-disk memoization through the result store.
 
 Exports are lazy (PEP 562) so that low layers — ``repro.cpu.chip``
 imports :func:`simulate_cache` — can load without dragging in the
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 __all__ = [
     "BACKENDS",
-    "ProgressEvent",
     "SimulationJob",
     "SimulationSession",
     "StoredTraceRef",
@@ -54,7 +56,6 @@ _LAZY_EXPORTS = {
     "execute_group": ("repro.engine.batch", "execute_group"),
     "StoredTraceRef": ("repro.workloads.store", "StoredTraceRef"),
     "TraceStore": ("repro.workloads.store", "TraceStore"),
-    "ProgressEvent": ("repro.engine.session", "ProgressEvent"),
     "SimulationSession": ("repro.engine.session", "SimulationSession"),
     "current_session": ("repro.engine.session", "current_session"),
     "reset_default_session": (

@@ -1,4 +1,4 @@
-"""Simulation job descriptions and the per-process execution worker.
+"""Simulation job descriptions, job keys and the per-job reference run.
 
 A :class:`SimulationJob` is a fully self-contained, picklable description
 of one (chip, trace, mode, operating point) run — the unit the
@@ -271,7 +271,12 @@ def trace_for(trace) -> Trace:
 
 
 def execute_job(job: SimulationJob, backend: str = "auto") -> RunResult:
-    """Run one job to completion (module-level: picklable for pools)."""
+    """Run one job to completion, alone.
+
+    The per-job reference: sessions and the service execute through
+    :func:`repro.engine.batch.execute_group`, whose results the
+    equivalence tests and benchmarks check against this function.
+    """
     chip = chip_for(job.chip)
     trace = trace_for(job.trace)
     with phase("jobs.execute"):

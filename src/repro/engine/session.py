@@ -8,8 +8,9 @@ the session
   (chip, trace, mode, operating point) never simulates twice),
 * **dispatches** independent jobs across worker processes with
   :class:`concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``,
-* **memoizes** results in memory and, optionally, in a content-hash-keyed
-  on-disk cache that survives across invocations.
+* **memoizes** results in memory and, optionally, in the content-hash-keyed
+  on-disk store (:func:`repro.engine.store.generation_store`) that
+  survives across invocations.
 
 A module-global *current session* (default: serial, in-process, no disk
 cache) lets the evaluation pipeline batch through the engine without
@@ -43,83 +44,11 @@ from repro.engine.batch import (
     strip_traces,
 )
 from repro.engine.jobs import SimulationJob, job_key, resolve_source
-from repro.service.store import CompactionReport, ShardedResultStore
+from repro.engine.store import generation_store
 from repro.workloads.store import TraceStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.report import ExperimentResult
-
-
-class DiskResultCache:
-    """Content-hash-keyed on-disk store for simulation results.
-
-    Entries live under a generation directory named by the
-    package-source fingerprint: any source edit changes every job key
-    (see :func:`repro.engine.jobs.job_key`), orphaning prior entries —
-    grouping them per generation keeps stale pickles identifiable and
-    trivially prunable (`rm -r cache/gen-*` minus the newest).
-
-    Within a generation, entries are held in a
-    :class:`repro.service.store.ShardedResultStore` — digest-sharded
-    (``<key[:2]>/<key>.pkl``), published by atomic rename, no file
-    locks — so any number of sessions, worker processes and service
-    instances share one cache directory and dedup against each other's
-    completed work.  A corrupt entry is a warned miss (see
-    :meth:`ShardedResultStore.get`).
-    """
-
-    def __init__(self, root: str | os.PathLike):
-        from repro.engine.jobs import _code_fingerprint
-
-        self.base = Path(root)
-        self.root = self.base / f"gen-{_code_fingerprint()[:16]}"
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._store = ShardedResultStore(self.root)
-
-    @property
-    def store(self) -> ShardedResultStore:
-        """The sharded store backing this generation's entries."""
-        return self._store
-
-    def get(self, key: str) -> RunResult | None:
-        """The cached result for a key, or None (corrupt = warned miss)."""
-        return self._store.get(key)
-
-    def put(self, key: str, result: RunResult) -> None:
-        """Store a result atomically (concurrent writers tolerated)."""
-        self._store.put(key, result)
-
-    def compact(self, verify: bool = False) -> CompactionReport:
-        """Sweep writer debris (and corrupt entries with ``verify``)."""
-        return self._store.compact(verify=verify)
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-
-@dataclass(frozen=True)
-class ProgressEvent:
-    """One executed job's completion, in an order-independent shape.
-
-    Pool workers finish in nondeterministic order, so any callback fed
-    *positions* would observe a different sequence every run.  An event
-    instead identifies the completed work by its content-hash ``key``
-    and carries the running ``done``/``total`` counts: collected events
-    from two runs of the same batch — serial, parallel, whatever the
-    completion order — always form the same *set* of keys and the same
-    final counts, which is what the service's progress streams (and the
-    determinism tests) assert against.
-
-    Attributes:
-        key: the completed job's :func:`repro.engine.jobs.job_key`.
-        done: executed jobs completed so far, this one included.
-        total: jobs that will execute in this batch (after dedup and
-            cache hits).
-    """
-
-    key: str
-    done: int
-    total: int
 
 
 @dataclass
@@ -183,17 +112,12 @@ class SimulationSession:
         are bit-identical; "auto" picks the vectorized fast path where
         it applies).
     cache_dir : path-like, optional
-        Enable the content-hash-keyed on-disk result cache rooted
-        here.  Entries survive across invocations; any package source
-        edit orphans them automatically (see
-        ``docs/architecture.md``, "The job-key/caching contract").
-    cache : object, optional
-        An already constructed result cache exposing ``get(key)`` /
-        ``put(key, result)`` — typically a :class:`DiskResultCache`
-        shared between sessions, or the service layer's sharded store
-        wrapper.  Mutually exclusive with ``cache_dir``; this is the
-        seam that lets many sessions (and the simulation service)
-        share one store without each re-deriving its root.
+        Enable the content-hash-keyed on-disk result store rooted
+        here (:func:`repro.engine.store.generation_store`), shared
+        with other sessions and ``repro serve --cache-dir``.  Entries
+        survive across invocations; any package source edit orphans
+        them automatically (see ``docs/architecture.md``, "The
+        job-key/caching contract").
     trace_store : path-like, optional
         Root of the content-addressed mmap trace store used to ship
         inline traces to worker processes by digest instead of
@@ -250,7 +174,6 @@ class SimulationSession:
         backend: str = "auto",
         cache_dir: str | os.PathLike | None = None,
         trace_store: str | os.PathLike | None = None,
-        cache=None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -258,15 +181,14 @@ class SimulationSession:
             raise ValueError(
                 f"unknown backend {backend!r}; known: {list(BACKENDS)}"
             )
-        if cache is not None and cache_dir is not None:
-            raise ValueError("pass either cache_dir or cache, not both")
         self.jobs = jobs
         self.backend = backend
         self.stats = SessionStats()
         self._memo: dict[str, RunResult] = {}
         self._pool: ProcessPoolExecutor | None = None
-        self._disk = (
-            DiskResultCache(cache_dir) if cache_dir is not None else cache
+        self._cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self._store = (
+            generation_store(cache_dir) if cache_dir is not None else None
         )
         self._trace_store_root = trace_store
         self._trace_store: TraceStore | None = None
@@ -277,15 +199,6 @@ class SimulationSession:
         if self._trace_store is None:
             self._trace_store = TraceStore(self._trace_store_root)
         return self._trace_store
-
-    @property
-    def _cache_root(self) -> Path | None:
-        """The user-facing cache root (pre-generation-suffix).
-
-        None when caching is off *or* the injected ``cache`` object has
-        no filesystem root to share with worker processes.
-        """
-        return getattr(self._disk, "base", None)
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent)."""
@@ -315,7 +228,6 @@ class SimulationSession:
         self,
         jobs: Sequence[SimulationJob],
         progress: Callable[[int, int], None] | None = None,
-        on_event: Callable[[ProgressEvent], None] | None = None,
     ) -> list[RunResult]:
         """Run a batch, returning results in submission order.
 
@@ -325,13 +237,6 @@ class SimulationSession:
         driving process as executed jobs complete (``total`` counts only
         the jobs that actually execute, after dedup and cache hits), so
         campaign-scale batches can report without touching the workers.
-
-        ``on_event`` receives a :class:`ProgressEvent` per completed
-        execution.  Unlike bare ``(done, total)`` counts, events name
-        the completed job by key, so their *payloads* are independent
-        of the nondeterministic completion order under parallel
-        dispatch — the contract the service's streaming endpoint (and
-        the determinism tests) build on.
         """
         # Normalize workload sources up front: a TraceSource collapses
         # to its job payload (TraceSpec for synthetic, inline Trace for
@@ -352,24 +257,19 @@ class SimulationSession:
             if key in pending:
                 self.stats.deduplicated += 1
                 continue
-            if self._disk is not None:
-                cached = self._disk.get(key)
+            if self._store is not None:
+                cached = self._store.get(key)
                 if cached is not None:
                     self._memo[key] = cached
                     self.stats.disk_hits += 1
                     continue
             pending[key] = job
         if pending:
-            results = self._execute(
-                list(pending.values()),
-                keys=list(pending),
-                progress=progress,
-                on_event=on_event,
-            )
+            results = self._execute(list(pending.values()), progress)
             for key, result in zip(pending, results):
                 self._memo[key] = result
-                if self._disk is not None:
-                    self._disk.put(key, result)
+                if self._store is not None:
+                    self._store.put(key, result)
             self.stats.executed += len(pending)
         return [self._memo[key] for key in keys]
 
@@ -380,22 +280,17 @@ class SimulationSession:
     def _execute(
         self,
         jobs: Sequence[SimulationJob],
-        keys: Sequence[str] | None = None,
         progress: Callable[[int, int], None] | None = None,
-        on_event: Callable[[ProgressEvent], None] | None = None,
     ) -> list[RunResult]:
         total = len(jobs)
         results: list[RunResult | None] = [None] * total
-        if keys is None:
-            keys = [job_key(job) for job in jobs]
+        done = 0
 
-        def _notify(index: int, done: int) -> None:
+        def _advance(_result: RunResult) -> None:
+            nonlocal done
+            done += 1
             if progress is not None:
                 progress(done, total)
-            if on_event is not None:
-                on_event(
-                    ProgressEvent(key=keys[index], done=done, total=total)
-                )
 
         if self.jobs > 1 and total > 1:
             # The pool lives for the session: workers keep their
@@ -423,26 +318,14 @@ class SimulationSession:
                 ): chunk
                 for chunk in chunks
             }
-            done = 0
             for future in as_completed(futures):
                 for index, result in zip(futures[future], future.result()):
                     results[index] = result
-                    done += 1
-                    _notify(index, done)
+                    _advance(result)
             return results
         # Serial: groups run in-process; traces stay inline (the store
         # only earns its keep across a process boundary).
-        done = 0
         for group in group_by_trace(jobs):
-            # execute_group yields results in the group's own order, so
-            # the nth callback within this group is the nth group index.
-            position = iter(group)
-
-            def _advance(_result: RunResult) -> None:
-                nonlocal done
-                done += 1
-                _notify(next(position), done)
-
             group_results = execute_group(
                 [jobs[index] for index in group],
                 backend=self.backend,
@@ -481,8 +364,8 @@ class SimulationSession:
             # a disk cache — the configured one, or a scratch directory
             # for the duration of the batch.
             scratch: tempfile.TemporaryDirectory | None = None
-            if self._cache_root is not None:
-                cache_dir: Path | None = self._cache_root
+            if self._cache_dir is not None:
+                cache_dir: Path | None = self._cache_dir
             else:
                 scratch = tempfile.TemporaryDirectory(
                     prefix="repro-engine-"

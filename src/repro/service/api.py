@@ -510,19 +510,23 @@ def serve_in_thread(
     """Start a :class:`ServiceAPI` on a dedicated event-loop thread.
 
     The blocking-world entry point used by tests, the smoke harness
-    and the CLI client helpers: returns once the socket is bound, with
-    the ephemeral port resolved on the handle.
+    and the CLI client helpers.  The socket is bound in the calling
+    thread before the loop thread starts, so a bind failure (e.g. a
+    busy port) closes the loop and raises its ``OSError`` here; on
+    return the ephemeral port is resolved on the handle.
     """
     api = ServiceAPI(
         scheduler, host=host, port=port, poll_interval=poll_interval
     )
     loop = asyncio.new_event_loop()
-    bound = threading.Event()
+    try:
+        loop.run_until_complete(api.start())
+    except BaseException:
+        loop.close()
+        raise
 
     def _run() -> None:
         asyncio.set_event_loop(loop)
-        loop.run_until_complete(api.start())
-        bound.set()
         try:
             loop.run_forever()
         finally:
@@ -533,6 +537,4 @@ def serve_in_thread(
         target=_run, name="repro-service-api", daemon=True
     )
     thread.start()
-    if not bound.wait(timeout=10.0):  # pragma: no cover - defensive
-        raise RuntimeError("service API failed to bind within 10 s")
     return ServiceHandle(api, loop, thread)

@@ -1,4 +1,4 @@
-"""Bounded, weighted-fair multi-tenant work queue.
+"""Weighted-fair multi-tenant work queue.
 
 Start-time fair queuing (SFQ) over tenants: every pushed item receives
 a *start tag* — the later of the queue's virtual time and the pushing
@@ -15,10 +15,10 @@ how tenant submissions interleave**.  The scheduler's property tests
 tenants submitting the same per-tenant sequences in any interleaving
 drain in the same global order.
 
-The queue is bounded: pushing into a full queue raises
-:class:`QueueFull`, which the service layer converts into its typed
-backpressure response.  It performs no locking of its own — the
-scheduler serializes access under its condition variable.
+The queue only orders work: admission bounds and backpressure belong
+to the scheduler, which counts queued jobs itself.  It performs no
+locking of its own — the scheduler serializes access under its
+condition variable.
 """
 
 from __future__ import annotations
@@ -27,38 +27,18 @@ import heapq
 from typing import Any
 
 
-class QueueFull(Exception):
-    """Push rejected: the bounded queue is at capacity."""
-
-
 class WeightedFairQueue:
     """Deterministic start-time fair queue over weighted tenants.
 
-    Parameters
-    ----------
-    capacity : int, optional
-        Maximum queued items; None means unbounded.
-    default_weight : float
-        Weight of tenants with no explicit :meth:`set_weight` entry.
-        Higher weight = proportionally more service under backlog.
+    Every tenant weighs 1.0 until :meth:`set_weight` says otherwise;
+    higher weight = proportionally more service under backlog.
     """
 
-    def __init__(
-        self,
-        capacity: int | None = None,
-        default_weight: float = 1.0,
-    ):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be at least 1 (or None)")
-        if not default_weight > 0:
-            raise ValueError("default_weight must be positive")
-        self.capacity = capacity
-        self.default_weight = default_weight
+    def __init__(self):
         self._weights: dict[str, float] = {}
         self._heap: list[tuple[float, str, int, float, Any]] = []
         self._tenant_finish: dict[str, float] = {}
         self._tenant_seq: dict[str, int] = {}
-        self._depths: dict[str, int] = {}
         self._virtual = 0.0
 
     # ------------------------------------------------------------ config
@@ -70,42 +50,16 @@ class WeightedFairQueue:
 
     def weight_of(self, tenant: str) -> float:
         """The effective weight of a tenant."""
-        return self._weights.get(tenant, self.default_weight)
-
-    # ------------------------------------------------------- introspection
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def full(self) -> bool:
-        """Whether a push right now would raise :class:`QueueFull`."""
-        return self.capacity is not None and len(self._heap) >= self.capacity
-
-    def depth(self, tenant: str) -> int:
-        """Items currently queued for one tenant."""
-        return self._depths.get(tenant, 0)
+        return self._weights.get(tenant, 1.0)
 
     # --------------------------------------------------------- push / pop
-    def push(
-        self,
-        tenant: str,
-        payload: Any,
-        cost: float = 1.0,
-        force: bool = False,
-    ) -> None:
-        """Queue one item for a tenant, or raise :class:`QueueFull`.
+    def push(self, tenant: str, payload: Any, cost: float = 1.0) -> None:
+        """Queue one item for a tenant.
 
         ``cost`` is the item's service demand in arbitrary units; a
         tenant's finish tags advance by ``cost / weight`` per item, so
         heavier items consume proportionally more of its share.
-        ``force`` bypasses the capacity bound — reserved for re-queuing
-        work that was already admitted once (retry after a failure),
-        where rejection would strand the job.
         """
-        if not force and self.full:
-            raise QueueFull(
-                f"queue at capacity ({self.capacity} items)"
-            )
         if not cost > 0:
             raise ValueError("cost must be positive")
         weight = self.weight_of(tenant)
@@ -115,7 +69,6 @@ class WeightedFairQueue:
         seq = self._tenant_seq.get(tenant, 0)
         self._tenant_seq[tenant] = seq + 1
         heapq.heappush(self._heap, (finish, tenant, seq, start, payload))
-        self._depths[tenant] = self._depths.get(tenant, 0) + 1
 
     def pop(self) -> tuple[str, Any] | None:
         """Serve the next ``(tenant, payload)`` by fair order, or None.
@@ -128,9 +81,6 @@ class WeightedFairQueue:
             return None
         finish, tenant, _seq, start, payload = heapq.heappop(self._heap)
         self._virtual = max(self._virtual, start)
-        self._depths[tenant] -= 1
-        if not self._depths[tenant]:
-            del self._depths[tenant]
         if not self._heap:
             # Idle reset: fairness state is only meaningful under
             # backlog, and bounded clocks keep tags numerically tame.

@@ -7,7 +7,7 @@ decides, under one lock, exactly one of:
 
 ``done``
     The result is already known — in-memory memo or the shared
-    :class:`~repro.service.store.ShardedResultStore` — and is served
+    :class:`~repro.engine.store.ShardedResultStore` — and is served
     immediately.  This path is checked **before** any capacity check,
     which is the graceful-degradation contract: a saturated service
     still answers everything it has already computed.
@@ -17,26 +17,33 @@ decides, under one lock, exactly one of:
     receive the same result.  Cross-tenant dedup costs nothing and is
     never sheddable.
 ``queued``
-    New work, admitted into the bounded weighted-fair queue
-    (:class:`~repro.service.queue.WeightedFairQueue`).
+    New work, admitted while fewer than ``queue_capacity`` jobs wait.
+    The jobs one submit call queues enter the weighted-fair queue
+    (:class:`~repro.service.queue.WeightedFairQueue`) as one item per
+    trace, costed by their count.
 ``shed``
     New work, rejected with a *typed* backpressure ticket — reason
     ``"quota"`` (this tenant already owns its full share of
-    outstanding work) or ``"saturated"`` (the bounded queue is full) —
-    carrying a ``retry_after`` hint.  Shedding happens only on these
-    two conditions, pinned by the property tests.
+    outstanding work) or ``"saturated"`` (``queue_capacity`` jobs are
+    already queued) — carrying a ``retry_after`` hint.  Shedding
+    happens only on these two conditions, pinned by the property tests.
 
 Execution runs on worker threads (``workers`` bounds in-flight
-simulations); a failed execution is retried with exponential backoff up
-to ``max_retries`` times before the job is marked ``failed``.  Results
-are published to the shared store *before* the job is marked done, so
-a crash between the two never yields a torn entry — and a partial
-result is unrepresentable: :meth:`ServiceScheduler.result` only returns
-fully published :class:`~repro.cpu.chip.RunResult` objects.
+groups).  Each runs one same-trace item through
+:func:`repro.engine.batch.execute_group`, so its jobs share one stream
+plan and one functional simulation per Vdd sweep, exactly as in a
+library session.  A failed group's jobs are retried one by one with
+exponential backoff, so one job that always raises cannot fail its
+siblings; a job that still fails on its own after ``max_retries``
+retries is marked ``failed``.  Results are published to the shared
+store *before* the jobs are marked done, so a crash between the two
+never yields a torn entry — and a partial result is unrepresentable:
+:meth:`ServiceScheduler.result` only returns fully published
+:class:`~repro.cpu.chip.RunResult` objects.
 
 For deterministic tests the scheduler also runs with ``workers=0``:
 nothing executes in the background and :meth:`run_next` pumps one
-queued job at a time under an injectable clock.
+queued item at a time under an injectable clock.
 """
 
 from __future__ import annotations
@@ -47,9 +54,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.cpu.chip import RunResult
-from repro.engine.jobs import SimulationJob, execute_job, job_key
+from repro.engine.batch import execute_group, group_by_trace
+from repro.engine.jobs import SimulationJob, job_key
+from repro.engine.store import ShardedResultStore
 from repro.service.queue import WeightedFairQueue
-from repro.service.store import ShardedResultStore
 
 #: Ticket / entry states surfaced to clients.
 QUEUED = "queued"
@@ -176,14 +184,14 @@ class ServiceScheduler:
         executing, and every executed result is published to it before
         the job is marked done.  None keeps results in memory only.
     workers : int
-        Background worker threads (the in-flight execution bound).
-        0 disables background execution — tests drive the queue
-        deterministically with :meth:`run_next`.
+        Background worker threads, each running one same-trace group
+        at a time.  0 disables background execution — tests drive the
+        queue deterministically with :meth:`run_next`.
     backend : str
         Engine backend for executed jobs (bit-identical by contract).
-    queue_capacity : int
-        Bound of the admission queue; submissions beyond it shed with
-        reason ``"saturated"``.
+    queue_capacity : int, optional
+        Most jobs queued at once; new work beyond it sheds with reason
+        ``"saturated"``.  None leaves the queue unbounded.
     tenant_quota : int, optional
         Maximum *outstanding* (queued or running) jobs a single tenant
         may own; submissions beyond it shed with reason ``"quota"``.
@@ -191,13 +199,15 @@ class ServiceScheduler:
     weights : mapping, optional
         Per-tenant fair-share weights (default 1.0 each).
     max_retries : int
-        Executions retried after a failure before marking ``failed``.
+        Retries of a job that fails on its own before it is marked
+        ``failed``.  A failed group always re-queues its jobs singly.
     backoff_base : float
         First retry delay in seconds; doubles per attempt.
     retry_after : float
         The hint carried by shed tickets.
     execute : callable, optional
-        Replacement for :func:`repro.engine.jobs.execute_job` — the
+        Replacement for :func:`repro.engine.batch.execute_group`: takes
+        one same-trace job list, returns their results in order — the
         fault-injection seam the failure tests use.
     clock : callable
         Monotonic time source (injectable for deterministic tests).
@@ -209,37 +219,43 @@ class ServiceScheduler:
         *,
         workers: int = 2,
         backend: str = "auto",
-        queue_capacity: int = 256,
+        queue_capacity: int | None = 256,
         tenant_quota: int | None = None,
         weights: Mapping[str, float] | None = None,
         max_retries: int = 2,
         backoff_base: float = 0.05,
         retry_after: float = 0.25,
-        execute: Callable[[SimulationJob], RunResult] | None = None,
+        execute: Callable[
+            [list[SimulationJob]], Sequence[RunResult]
+        ] | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         if workers < 0:
             raise ValueError("workers must be non-negative")
         if tenant_quota is not None and tenant_quota < 1:
             raise ValueError("tenant_quota must be at least 1 (or None)")
+        if queue_capacity is not None and queue_capacity < 1:
+            raise ValueError("queue_capacity must be at least 1 (or None)")
         self.store = store
         self.workers = workers
         self.backend = backend
+        self.queue_capacity = queue_capacity
         self.tenant_quota = tenant_quota
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.retry_after = retry_after
         self.stats = SchedulerStats()
         self._execute = execute or (
-            lambda job: execute_job(job, backend=backend)
+            lambda jobs: execute_group(jobs, backend=backend)
         )
         self._clock = clock
-        self._queue = WeightedFairQueue(capacity=queue_capacity)
+        self._queue = WeightedFairQueue()
         for tenant, weight in (weights or {}).items():
             self._queue.set_weight(tenant, weight)
+        self._queued_jobs = 0
         self._entries: dict[str, _Entry] = {}
         self._outstanding: dict[str, int] = {}
-        self._delayed: list[tuple[float, int, str, str]] = []
+        self._delayed: list[tuple[float, int, str, tuple[str, ...]]] = []
         self._delayed_seq = 0
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
@@ -289,13 +305,21 @@ class ServiceScheduler:
         Known results (memo or shared store) are served as ``done``
         even when the queue is saturated; identical in-flight work is
         joined as ``attached``; only genuinely *new* work is subject to
-        the tenant quota and the bounded queue, shedding with a typed
-        reason + retry-after when either is exhausted.
+        the tenant quota and the queue bound, shedding with a typed
+        reason + retry-after when either is exhausted.  The jobs this
+        call queues enter the fair queue as one item per trace.
         """
         tickets = []
         with self._cond:
+            fresh: list[tuple[str, SimulationJob]] = []
             for job in jobs:
-                tickets.append(self._admit(tenant, job))
+                ticket = self._admit(tenant, job)
+                tickets.append(ticket)
+                if ticket.state == QUEUED:
+                    fresh.append((ticket.key, job))
+            for group in group_by_trace([job for _key, job in fresh]):
+                keys = tuple(fresh[index][0] for index in group)
+                self._queue.push(tenant, keys, cost=len(keys))
             self._cond.notify_all()
         return tickets
 
@@ -332,7 +356,10 @@ class ServiceScheduler:
                 key=key, state=SHED, reason=REASON_QUOTA,
                 retry_after=self.retry_after,
             )
-        if self._queue.full:
+        if (
+            self.queue_capacity is not None
+            and self._queued_jobs >= self.queue_capacity
+        ):
             self.stats.shed_saturated += 1
             return Ticket(
                 key=key, state=SHED, reason=REASON_SATURATED,
@@ -349,7 +376,7 @@ class ServiceScheduler:
         entry.tenants.add(tenant)
         self._entries[key] = entry
         self._outstanding[tenant] = self._outstanding.get(tenant, 0) + 1
-        self._queue.push(tenant, key)
+        self._queued_jobs += 1
         self.stats.queued += 1
         return Ticket(key=key, state=QUEUED)
 
@@ -426,73 +453,93 @@ class ServiceScheduler:
         return True
 
     def queue_depth(self) -> int:
-        """Items currently admitted but not yet executing."""
+        """Jobs currently admitted but not yet executing."""
         with self._lock:
-            return len(self._queue) + len(self._delayed)
+            return self._queued_jobs + sum(
+                len(keys) for *_, keys in self._delayed
+            )
 
     # --------------------------------------------------------- execution
-    def run_next(self, now: float | None = None) -> str | None:
-        """Execute one queued job synchronously (``workers=0`` mode).
+    def run_next(self, now: float | None = None) -> list[str]:
+        """Execute one queued item synchronously (``workers=0`` mode).
 
-        Promotes any due retries first, then serves the fair queue's
-        next item to completion.  Returns the executed job's key, or
-        None when nothing was runnable at ``now``.
+        Promotes any due retries first, then runs the fair queue's next
+        item — one same-trace group — to completion.  Returns the
+        executed jobs' keys, empty when nothing was runnable at ``now``.
         """
         with self._cond:
             self._promote_due(now if now is not None else self._clock())
-            item = self._queue.pop()
-            if item is None:
-                return None
-            entry = self._begin(item[1])
-        self._finish(entry, now=now)
-        return entry.key
+            entries = self._take()
+        if entries:
+            self._finish(entries, now=now)
+        return [entry.key for entry in entries]
 
-    def _begin(self, key: str) -> _Entry:
-        """Mark a popped entry running (caller holds the lock)."""
-        entry = self._entries[key]
-        entry.state = RUNNING
-        return entry
+    def _take(self) -> list[_Entry]:
+        """Pop the next item and mark its jobs running (lock held)."""
+        item = self._queue.pop()
+        if item is None:
+            return []
+        entries = [self._entries[key] for key in item[1]]
+        self._queued_jobs -= len(entries)
+        for entry in entries:
+            entry.state = RUNNING
+        return entries
 
-    def _finish(self, entry: _Entry, now: float | None = None) -> None:
-        """Execute one entry and publish success or schedule a retry."""
+    def _finish(
+        self, entries: list[_Entry], now: float | None = None
+    ) -> None:
+        """Execute one group; publish its results or schedule a retry."""
         try:
-            result = self._execute(entry.job)
+            results = self._execute([entry.job for entry in entries])
+            finished = list(zip(entries, results, strict=True))
         except Exception as error:
-            self._on_failure(entry, error, now=now)
+            self._on_failure(entries, error, now=now)
             return
-        # Publish to the shared store *before* flipping the state:
+        # Publish to the shared store *before* flipping the states:
         # a reader that sees ``done`` can always read the entry.
         if self.store is not None:
-            self.store.put(entry.key, result)
+            for entry, result in finished:
+                self.store.put(entry.key, result)
         with self._cond:
-            entry.result = result
-            entry.state = DONE
-            entry.attempts += 1
-            self.stats.executed += 1
-            self._settle(entry)
+            for entry, result in finished:
+                entry.result = result
+                entry.state = DONE
+                entry.attempts += 1
+                self._settle(entry)
+            self.stats.executed += len(finished)
 
     def _on_failure(
-        self, entry: _Entry, error: Exception, now: float | None
+        self, entries: list[_Entry], error: Exception, now: float | None
     ) -> None:
-        """Retry with exponential backoff, or mark the entry failed."""
+        """Retry with exponential backoff, or mark the job failed.
+
+        The exception of a group run names no job, so a failed group's
+        jobs are re-queued one by one: a job that always raises then
+        fails alone instead of taking its siblings with it.  Only a job
+        that failed on its own is marked ``failed``.
+        """
         with self._cond:
-            entry.attempts += 1
-            if entry.attempts <= self.max_retries:
-                self.stats.retried += 1
+            for entry in entries:
+                entry.attempts += 1
+            attempts = entries[0].attempts
+            if len(entries) == 1 and attempts > self.max_retries:
+                (entry,) = entries
+                entry.state = FAILED
+                entry.error = f"{type(error).__name__}: {error}"
+                self._settle(entry)
+                self.stats.failed += 1
+                return
+            self.stats.retried += len(entries)
+            delay = self.backoff_base * 2 ** (attempts - 1)
+            due = (now if now is not None else self._clock()) + delay
+            for entry in entries:
                 entry.state = QUEUED
-                delay = self.backoff_base * 2 ** (entry.attempts - 1)
-                due = (now if now is not None else self._clock()) + delay
                 self._delayed_seq += 1
                 self._delayed.append(
-                    (due, self._delayed_seq, entry.owner, entry.key)
+                    (due, self._delayed_seq, entry.owner, (entry.key,))
                 )
-                self._delayed.sort()
-                self._cond.notify_all()
-                return
-            entry.state = FAILED
-            entry.error = f"{type(error).__name__}: {error}"
-            self.stats.failed += 1
-            self._settle(entry)
+            self._delayed.sort()
+            self._cond.notify_all()
 
     def _settle(self, entry: _Entry) -> None:
         """Terminal bookkeeping (caller holds the lock)."""
@@ -512,19 +559,19 @@ class ServiceScheduler:
         would turn a transient fault into a deadlock.
         """
         while self._delayed and self._delayed[0][0] <= now:
-            _due, _seq, owner, key = self._delayed.pop(0)
-            self._queue.push(owner, key, force=True)
+            _due, _seq, owner, keys = self._delayed.pop(0)
+            self._queue.push(owner, keys, cost=len(keys))
+            self._queued_jobs += len(keys)
 
     def _worker_loop(self) -> None:
         """Background worker: serve the fair queue until stopped."""
         while True:
             with self._cond:
-                entry = None
+                entries: list[_Entry] = []
                 while self._running:
                     self._promote_due(self._clock())
-                    item = self._queue.pop()
-                    if item is not None:
-                        entry = self._begin(item[1])
+                    entries = self._take()
+                    if entries:
                         break
                     timeout = None
                     if self._delayed:
@@ -532,6 +579,6 @@ class ServiceScheduler:
                             self._delayed[0][0] - self._clock(), 0.0
                         )
                     self._cond.wait(timeout=timeout)
-                if entry is None:
+                if not entries:
                     return
-            self._finish(entry)
+            self._finish(entries)

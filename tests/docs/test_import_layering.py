@@ -1,9 +1,12 @@
-"""Import-layering gate: :mod:`repro.cells` is the only door to sram.
+"""Import-layering gate: gated packages have few, named importers.
 
-The cell-technology API re-exports the whole SRAM stack; everything
-else must consume bitcells through it so non-SRAM technologies slot in
-without touching callers.  The lint (``tools/check_imports.py``) runs
-here and in CI — a new direct ``repro.sram`` import fails the suite.
+:mod:`repro.cells` is the only door to sram: the cell-technology API
+re-exports the whole SRAM stack, and everything else must consume
+bitcells through it so non-SRAM technologies slot in without touching
+callers.  :mod:`repro.service` sits on top of the engine: only the
+service itself and the CLI import it.  The lint
+(``tools/check_imports.py``) runs here and in CI — a new violating
+import fails the suite.
 """
 
 import pathlib
@@ -17,11 +20,12 @@ sys.path.insert(0, str(TOOLS))
 
 class TestImportLayering:
     def test_no_direct_sram_imports_outside_allowed_packages(self):
+        """Every row of the lint holds, the ``repro.service`` one too."""
         import check_imports
 
         violations = check_imports.check_package(REPO / "src" / "repro")
         assert violations == [], (
-            "direct repro.sram imports (use repro.cells):\n  "
+            "layering violations (see tools/check_imports.py RULES):\n  "
             + "\n  ".join(violations)
         )
 
@@ -45,10 +49,29 @@ class TestImportLayering:
         (package / "cells" / "ok.py").write_text(
             "import repro.sram\n", encoding="utf-8"
         )
+        # The service is gated too: only service/ and the CLI import it.
+        (package / "service").mkdir()
+        (package / "engine").mkdir()
+        (package / "engine" / "session.py").write_text(
+            "from repro.service.store import ShardedResultStore\n",
+            encoding="utf-8",
+        )
+        (package / "engine" / "batch.py").write_text(
+            "import repro.service.scheduler\n", encoding="utf-8"
+        )
+        (package / "service" / "ok.py").write_text(
+            "from repro.service.queue import WeightedFairQueue\n",
+            encoding="utf-8",
+        )
+        (package / "__main__.py").write_text(
+            "import repro.service.api\n", encoding="utf-8"
+        )
         violations = check_imports.check_package(package)
-        assert len(violations) == 2
+        assert len(violations) == 4
         assert any("bad.py" in line for line in violations)
         assert any("worse.py" in line for line in violations)
+        assert any("session.py" in line for line in violations)
+        assert any("batch.py" in line for line in violations)
 
     def test_relative_imports_inside_sram_are_ignored(self, tmp_path):
         import check_imports

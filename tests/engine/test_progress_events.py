@@ -1,11 +1,10 @@
-"""Progress events: order-independent payloads, serial == parallel.
+"""Progress reporting: ``run_jobs(progress=)`` counts executed jobs.
 
-:meth:`SimulationSession.run_jobs` reports per-completion
-:class:`ProgressEvent` payloads carrying the completed job's key and
-counts — nothing positional — so the *set* of payloads from a batch is
-deterministic however the pool's completion order scrambles.  These
-tests pin that contract (the service's streaming endpoint builds on
-it).
+:meth:`SimulationSession.run_jobs` calls ``progress(done, total)`` once
+per executed job, from the driving process, whatever the pool's
+completion order.  ``total`` counts only the jobs that actually
+execute, after dedup and cache hits.  These tests pin that contract,
+serially and with ``jobs=2``.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ import pickle
 
 import pytest
 
-from repro.engine.jobs import SimulationJob, TraceSpec, job_key
-from repro.engine.session import ProgressEvent, SimulationSession
+from repro.engine.jobs import SimulationJob, TraceSpec
+from repro.engine.session import SimulationSession
 from repro.tech.operating import Mode
 
 
@@ -34,34 +33,27 @@ def batch(chips_a):
 
 
 def run_collecting(session, jobs):
-    events = []
     counts = []
     results = session.run_jobs(
-        jobs,
-        progress=lambda done, total: counts.append((done, total)),
-        on_event=events.append,
+        jobs, progress=lambda done, total: counts.append((done, total))
     )
-    return results, events, counts
+    return results, counts
 
 
 def test_serial_events_name_every_executed_job(batch):
+    """One report per executed job, counting 1..N in order."""
     with SimulationSession(jobs=1) as session:
-        _, events, counts = run_collecting(session, batch)
-    assert {event.key for event in events} == {job_key(job) for job in batch}
-    assert [event.done for event in events] == list(range(1, 7))
-    assert all(event.total == 6 for event in events)
-    # The legacy (done, total) callback stays in lockstep.
+        _, counts = run_collecting(session, batch)
+        assert session.stats.executed == len(batch)
     assert counts == [(done, 6) for done in range(1, 7)]
 
 
 def test_event_payload_sets_match_across_serial_and_parallel(batch):
-    """The determinism contract: same batch, same payloads, any order."""
+    """Same batch, same reports and results, serial or ``jobs=2``."""
     with SimulationSession(jobs=1) as serial:
-        serial_results, serial_events, _ = run_collecting(serial, batch)
+        serial_results, serial_counts = run_collecting(serial, batch)
     with SimulationSession(jobs=2) as parallel:
-        parallel_results, parallel_events, _ = run_collecting(
-            parallel, batch
-        )
+        parallel_results, parallel_counts = run_collecting(parallel, batch)
     # Results agree bit-for-bit on the metrics (the full pickles are
     # not compared: crossing the pool's process boundary drops interned
     # -string identity sharing, which legitimately shifts pickle bytes).
@@ -72,34 +64,21 @@ def test_event_payload_sets_match_across_serial_and_parallel(batch):
         (r.epi, r.execution_seconds, pickle.dumps(r.timing))
         for r in parallel_results
     ]
-    # Key sets are identical; done values are a permutation of 1..N in
-    # both runs — order-independent payloads, order-dependent arrival.
-    assert {event.key for event in parallel_events} == {
-        event.key for event in serial_events
-    }
-    assert sorted(event.done for event in parallel_events) == list(
-        range(1, 7)
-    )
-    assert {event.total for event in parallel_events} == {6}
+    # The driving process counts completions, so ``done`` runs 1..N
+    # in both runs however the pool's completion order scrambles.
+    assert parallel_counts == serial_counts == [
+        (done, 6) for done in range(1, 7)
+    ]
 
 
 def test_cache_hits_emit_no_events(batch):
     with SimulationSession(jobs=1) as session:
         session.run_jobs(batch)
-        _, events, counts = run_collecting(session, batch)
-    assert events == []
+        _, counts = run_collecting(session, batch)
     assert counts == []
 
 
 def test_duplicate_jobs_counted_once(batch):
     with SimulationSession(jobs=1) as session:
-        _, events, _ = run_collecting(session, batch[:2] + batch[:2])
-    assert len(events) == 2
-    assert all(event.total == 2 for event in events)
-
-
-def test_progress_event_is_frozen_value_object():
-    event = ProgressEvent(key="abc", done=1, total=2)
-    assert event == ProgressEvent(key="abc", done=1, total=2)
-    with pytest.raises(AttributeError):
-        event.done = 3
+        _, counts = run_collecting(session, batch[:2] + batch[:2])
+    assert counts == [(1, 2), (2, 2)]

@@ -8,12 +8,14 @@ but tiny — simulation jobs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.engine.jobs import SimulationJob, TraceSpec, job_key
 from repro.service.requests import JobRequest, resolve
 from repro.service.scheduler import ServiceScheduler
-from repro.tech.operating import Mode
+from repro.tech.operating import Mode, operating_point_for
 
 
 @pytest.fixture(scope="session")
@@ -58,16 +60,16 @@ def manual_scheduler():
         kwargs.setdefault("workers", 0)
         kwargs.setdefault("queue_capacity", 8)
         return ServiceScheduler(
-            execute=execute or (lambda job: _stub_result(job)),
+            execute=execute or _stub_results,
             **kwargs,
         )
 
     return make
 
 
-def _stub_result(job):
-    """A tiny, picklable stand-in for a RunResult."""
-    return ("result-for", job_key(job))
+def _stub_results(jobs):
+    """Tiny, picklable stand-ins for the RunResults of a job group."""
+    return [("result-for", job_key(job)) for job in jobs]
 
 
 @pytest.fixture(scope="session")
@@ -82,6 +84,33 @@ def distinct_jobs(chips_a):
                 mode=Mode.ULE,
             )
             for seed in range(count)
+        ]
+        assert len({job_key(job) for job in jobs}) == count
+        return jobs
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def same_trace_jobs(chips_a):
+    """A factory of ``count`` distinct jobs sharing one trace.
+
+    They differ only in the ULE supply voltage, the shape of a Vdd
+    sweep, so the scheduler queues them as one same-trace item.
+    """
+
+    def make(count: int) -> list[SimulationJob]:
+        nominal = operating_point_for(Mode.ULE)
+        jobs = [
+            SimulationJob(
+                chip=chips_a.proposed.config,
+                trace=TraceSpec("adpcm_c", 1000, 0),
+                mode=Mode.ULE,
+                operating_point=replace(
+                    nominal, vdd=nominal.vdd * (1 + index / 100)
+                ),
+            )
+            for index in range(count)
         ]
         assert len({job_key(job) for job in jobs}) == count
         return jobs

@@ -17,11 +17,11 @@ import pickle
 import pytest
 
 from repro.engine.session import SimulationSession
+from repro.engine.store import ShardedResultStore
 from repro.service.api import serve_in_thread
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.requests import resolve
 from repro.service.scheduler import ServiceScheduler
-from repro.service.store import ShardedResultStore
 
 
 @pytest.fixture(scope="module")

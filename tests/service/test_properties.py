@@ -8,9 +8,9 @@ Three contracts pinned property-style, per the service design:
 * **Submission-order invariance** — equal-weight tenants pushing the
   same per-tenant sequences drain in one global order, however their
   submissions interleave.
-* **Backpressure monotonicity** — new work is shed *iff* the bounded
-  queue is full (no quota configured): the service never rejects while
-  it has room and never admits past the bound.
+* **Backpressure monotonicity** — new work is shed *iff* the queue
+  holds ``queue_capacity`` jobs (no quota configured): the service
+  never rejects while it has room and never admits past the bound.
 """
 
 from __future__ import annotations
@@ -34,14 +34,14 @@ TENANTS = ("alice", "bob", "carol")
 def _stub_scheduler(**kwargs) -> ServiceScheduler:
     return ServiceScheduler(
         workers=0,
-        execute=lambda job: ("result-for", job_key(job)),
+        execute=lambda jobs: [("result-for", job_key(job)) for job in jobs],
         clock=lambda: 0.0,
         **kwargs,
     )
 
 
 #: One run script: each step either submits (tenant, job index) or pumps
-#: the queue ("run" executes one queued job).
+#: the queue ("run" executes one queued item).
 steps = st.lists(
     st.one_of(
         st.tuples(
@@ -64,8 +64,7 @@ def test_quota_never_exceeded(script, quota, distinct_jobs):
     owner_of = {}
     for step in script:
         if step == "run":
-            key = scheduler.run_next(now=0.0)
-            if key is not None:
+            for key in scheduler.run_next(now=0.0):
                 owned[owner_of[key]] -= 1
             continue
         tenant, index = step
@@ -119,7 +118,7 @@ def test_drain_order_invariant_to_interleaving(lengths, data):
 @settings(max_examples=25, deadline=None)
 @given(script=steps, capacity=st.integers(min_value=1, max_value=4))
 def test_shed_iff_queue_full(script, capacity, distinct_jobs):
-    """With no quota, shedding happens exactly when the queue is full."""
+    """With no quota, shedding happens exactly at the job bound."""
     jobs = distinct_jobs(12)
     scheduler = _stub_scheduler(queue_capacity=capacity)
     for step in script:

@@ -1,10 +1,10 @@
-"""Weighted-fair queue: SFQ ordering, weights, bounds, idle reset."""
+"""Weighted-fair queue: SFQ ordering, weights, validation, idle reset."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.service.queue import QueueFull, WeightedFairQueue
+from repro.service.queue import WeightedFairQueue
 
 
 def drain(queue: WeightedFairQueue) -> list[tuple[str, object]]:
@@ -73,33 +73,7 @@ class TestOrdering:
 
 
 class TestBounds:
-    def test_push_beyond_capacity_raises(self):
-        queue = WeightedFairQueue(capacity=2)
-        queue.push("a", 1)
-        queue.push("a", 2)
-        assert queue.full
-        with pytest.raises(QueueFull):
-            queue.push("a", 3)
-        assert len(queue) == 2
-
-    def test_force_push_bypasses_capacity(self):
-        queue = WeightedFairQueue(capacity=1)
-        queue.push("a", 1)
-        queue.push("a", "retry", force=True)
-        assert len(queue) == 2
-
-    def test_pop_frees_capacity(self):
-        queue = WeightedFairQueue(capacity=1)
-        queue.push("a", 1)
-        assert queue.pop() == ("a", 1)
-        assert not queue.full
-        queue.push("a", 2)
-
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedFairQueue(capacity=0)
-        with pytest.raises(ValueError):
-            WeightedFairQueue(default_weight=0.0)
         queue = WeightedFairQueue()
         with pytest.raises(ValueError):
             queue.set_weight("a", -1.0)
@@ -122,14 +96,3 @@ class TestIdleReset:
         assert [payload for _, payload in drain(queue)] == [
             "a0", "b0", "a1", "b1",
         ]
-
-    def test_depth_tracks_per_tenant(self):
-        queue = WeightedFairQueue()
-        queue.push("a", 1)
-        queue.push("a", 2)
-        queue.push("b", 3)
-        assert queue.depth("a") == 2
-        assert queue.depth("b") == 1
-        assert queue.depth("c") == 0
-        queue.pop()
-        assert queue.depth("a") == 1

@@ -1,14 +1,19 @@
 """Scheduler semantics under faults: retries, quotas, degradation.
 
 These suites run the scheduler in ``workers=0`` mode with injected
-executors and clocks, so every fault — a worker dying mid-job, a
+executors and clocks, so every fault — a worker dying mid-group, a
 truncated store entry, a saturated queue — is reproduced
-deterministically rather than raced for.
+deterministically rather than raced for.  Executors take one
+same-trace job list and return its results in order, like
+:func:`repro.engine.batch.execute_group`.
 """
 
 from __future__ import annotations
 
 import pickle
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
@@ -25,22 +30,26 @@ from repro.service.scheduler import (
     ResultNotReady,
     ServiceScheduler,
 )
-from repro.service.store import ShardedResultStore
+from repro.engine.store import ShardedResultStore
 
 
 class FlakyExecutor:
-    """Fails the first ``failures`` calls per key, then succeeds."""
+    """Records each call's keys; fails each job's first ``failures`` runs."""
 
     def __init__(self, failures: int = 1):
         self.failures = failures
-        self.calls: list[str] = []
+        self.calls: list[list[str]] = []
+        self.runs: Counter[str] = Counter()
 
-    def __call__(self, job):
-        key = job_key(job)
-        self.calls.append(key)
-        if self.calls.count(key) <= self.failures:
-            raise RuntimeError(f"worker killed mid-job (attempt for {key[:8]})")
-        return ("result-for", key)
+    def __call__(self, jobs):
+        keys = [job_key(job) for job in jobs]
+        self.calls.append(keys)
+        self.runs.update(keys)
+        if any(self.runs[key] <= self.failures for key in keys):
+            raise RuntimeError(
+                f"worker killed mid-group (attempt for {keys[0][:8]})"
+            )
+        return [("result-for", key) for key in keys]
 
 
 class TestHappyPath:
@@ -49,10 +58,10 @@ class TestHappyPath:
         (job,) = distinct_jobs(1)
         (ticket,) = scheduler.submit("alice", [job])
         assert ticket.state == QUEUED
-        assert scheduler.run_next() == ticket.key
+        assert scheduler.run_next() == [ticket.key]
         assert scheduler.result(ticket.key) == ("result-for", ticket.key)
         assert scheduler.stats.executed == 1
-        assert scheduler.run_next() is None
+        assert scheduler.run_next() == []
 
     def test_memo_and_attach_dedup(self, manual_scheduler, distinct_jobs):
         scheduler = manual_scheduler()
@@ -109,13 +118,13 @@ class TestFaultInjection:
         (job,) = distinct_jobs(1)
         (ticket,) = scheduler.submit("alice", [job])
         # First attempt dies; the job is re-queued, not failed.
-        assert scheduler.run_next(now=0.0) == ticket.key
+        assert scheduler.run_next(now=0.0) == [ticket.key]
         assert scheduler.state_of(ticket.key)["state"] == QUEUED
         assert scheduler.stats.retried == 1
         # Before the backoff expires nothing is runnable...
-        assert scheduler.run_next(now=0.5) is None
+        assert scheduler.run_next(now=0.5) == []
         # ...after it, the retry runs and succeeds.
-        assert scheduler.run_next(now=1.0) == ticket.key
+        assert scheduler.run_next(now=1.0) == [ticket.key]
         assert scheduler.result(ticket.key) == ("result-for", ticket.key)
         assert scheduler.state_of(ticket.key)["attempts"] == 2
 
@@ -130,10 +139,10 @@ class TestFaultInjection:
         (job,) = distinct_jobs(1)
         (ticket,) = scheduler.submit("alice", [job])
         scheduler.run_next(now=0.0)  # attempt 1 fails -> due at 1.0
-        assert scheduler.run_next(now=0.9) is None
+        assert scheduler.run_next(now=0.9) == []
         scheduler.run_next(now=1.0)  # attempt 2 fails -> due at 3.0
-        assert scheduler.run_next(now=2.9) is None
-        assert scheduler.run_next(now=3.0) == ticket.key
+        assert scheduler.run_next(now=2.9) == []
+        assert scheduler.run_next(now=3.0) == [ticket.key]
         assert scheduler.state_of(ticket.key)["state"] == DONE
 
     def test_exhausted_retries_mark_failed_never_partial(
@@ -174,7 +183,7 @@ class TestFaultInjection:
         scheduler.run_next(now=0.0)  # fails again
         (ticket,) = scheduler.submit("bob", [job])
         assert ticket.state == QUEUED  # failed entries re-enter the queue
-        scheduler.run_next(now=0.0)  # third per-key call succeeds
+        scheduler.run_next(now=0.0)  # the job's third run succeeds
         assert scheduler.result(ticket.key) == ("result-for", ticket.key)
 
     def test_truncated_store_entry_is_miss_then_heals(
@@ -213,7 +222,7 @@ class TestFaultInjection:
         (filler,) = scheduler.submit("alice", [jobs[2]])
         assert filler.state == QUEUED
         # The retry is promoted past the full queue and completes.
-        ran = {scheduler.run_next(now=0.0) for _ in range(3)}
+        ran = [key for _ in range(3) for key in scheduler.run_next(now=0.0)]
         assert tickets[0].key in ran
         assert scheduler.result(tickets[0].key) == (
             "result-for",
@@ -250,6 +259,23 @@ class TestBackpressure:
         resubmit = scheduler.submit("alice", [jobs[1]])
         assert resubmit[0].state == QUEUED
 
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError, match="queue_capacity"):
+            ServiceScheduler(workers=0, queue_capacity=0)
+
+    def test_capacity_counts_jobs_not_items(
+        self, manual_scheduler, same_trace_jobs
+    ):
+        """Four same-trace jobs make one item, but the bound is 3 jobs."""
+        executor = FlakyExecutor(failures=0)
+        scheduler = manual_scheduler(execute=executor, queue_capacity=3)
+        tickets = scheduler.submit("alice", same_trace_jobs(4))
+        assert [t.state for t in tickets] == [QUEUED] * 3 + [SHED]
+        assert tickets[3].reason == REASON_SATURATED
+        assert scheduler.queue_depth() == 3
+        assert scheduler.run_next() == [t.key for t in tickets[:3]]
+        assert executor.calls == [[t.key for t in tickets[:3]]]
+
     def test_memoized_results_served_under_saturation(
         self, manual_scheduler, distinct_jobs, tmp_path
     ):
@@ -275,12 +301,13 @@ class TestNeverPartial:
     def test_running_job_has_no_result(self, manual_scheduler, distinct_jobs):
         observed = {}
 
-        def probing_execute(job):
+        def probing_execute(jobs):
+            (job,) = jobs
             key = job_key(job)
             observed["state"] = scheduler.state_of(key)["state"]
             with pytest.raises(ResultNotReady):
                 scheduler.result(key)
-            return ("result-for", key)
+            return [("result-for", key)]
 
         scheduler = manual_scheduler(execute=probing_execute)
         (job,) = distinct_jobs(1)
@@ -297,11 +324,107 @@ class TestNeverPartial:
         assert pickle.loads(payload) == scheduler.result(ticket.key)
 
 
+class TestGroupedExecution:
+    def test_same_trace_submit_is_one_call_in_order(
+        self, manual_scheduler, same_trace_jobs
+    ):
+        executor = FlakyExecutor(failures=0)
+        scheduler = manual_scheduler(execute=executor)
+        jobs = same_trace_jobs(5)
+        tickets = scheduler.submit("alice", jobs)
+        keys = [ticket.key for ticket in tickets]
+        assert keys == [job_key(job) for job in jobs]
+        assert scheduler.run_next() == keys
+        assert scheduler.run_next() == []
+        assert executor.calls == [keys]
+        assert scheduler.stats.executed == 5
+        assert all(
+            scheduler.result(key) == ("result-for", key) for key in keys
+        )
+
+    def test_distinct_traces_are_separate_calls(
+        self, manual_scheduler, distinct_jobs
+    ):
+        executor = FlakyExecutor(failures=0)
+        scheduler = manual_scheduler(execute=executor)
+        tickets = scheduler.submit("alice", distinct_jobs(3))
+        for _ in range(3):
+            assert len(scheduler.run_next()) == 1
+        assert sorted(executor.calls) == sorted(
+            [ticket.key] for ticket in tickets
+        )
+
+    def test_failing_group_retries_job_by_job(
+        self, manual_scheduler, same_trace_jobs
+    ):
+        executor = FlakyExecutor(failures=1)
+        scheduler = manual_scheduler(
+            execute=executor, backoff_base=1.0, clock=lambda: 0.0
+        )
+        tickets = scheduler.submit("alice", same_trace_jobs(3))
+        keys = [ticket.key for ticket in tickets]
+        assert scheduler.run_next(now=0.0) == keys
+        assert scheduler.stats.retried == 3
+        assert scheduler.queue_depth() == 3
+        assert {
+            scheduler.state_of(key)["state"] for key in keys
+        } == {QUEUED}
+        assert scheduler.run_next(now=0.5) == []  # the group's backoff
+        for key in keys:
+            assert scheduler.run_next(now=1.0) == [key]
+        assert executor.calls == [keys] + [[key] for key in keys]
+        assert scheduler.stats.executed == 3
+        assert all(scheduler.state_of(key)["attempts"] == 2 for key in keys)
+
+    @pytest.mark.parametrize("max_retries", [0, 2])
+    def test_always_failing_job_fails_alone(
+        self, manual_scheduler, same_trace_jobs, max_retries
+    ):
+        """One Vdd point that always raises must not fail its sweep."""
+        jobs = same_trace_jobs(3)
+        bad = job_key(jobs[1])
+        calls = []
+
+        def execute(group):
+            keys = [job_key(job) for job in group]
+            calls.append(keys)
+            if bad in keys:
+                raise OverflowError("math range error")
+            return [("result-for", key) for key in keys]
+
+        scheduler = manual_scheduler(
+            execute=execute,
+            max_retries=max_retries,
+            backoff_base=0.0,
+            clock=lambda: 0.0,
+        )
+        keys = [ticket.key for ticket in scheduler.submit("alice", jobs)]
+        (attached,) = scheduler.submit("bob", [jobs[2]])
+        assert attached.state == ATTACHED
+        for _ in range(10):
+            if not scheduler.run_next(now=0.0):
+                break
+        states = {key: scheduler.state_of(key)["state"] for key in keys}
+        assert states == {keys[0]: DONE, bad: FAILED, keys[2]: DONE}
+        assert "OverflowError" in scheduler.state_of(bad)["error"]
+        assert scheduler.result(keys[2]) == ("result-for", keys[2])
+        assert scheduler.stats.failed == 1
+        assert scheduler.stats.executed == 2
+        # The group once, then each job alone; the failing one until
+        # its retries run out.  Even without retries a failed group
+        # re-runs its jobs singly, since its error names no job.
+        solo_failures = max(max_retries, 1)
+        assert calls == (
+            [keys, [keys[0]], [bad], [keys[2]]]
+            + [[bad]] * (solo_failures - 1)
+        )
+
+
 class TestBackgroundWorkers:
     def test_worker_threads_drain_queue(self, distinct_jobs):
         scheduler = ServiceScheduler(
             workers=2,
-            execute=lambda job: ("result-for", job_key(job)),
+            execute=lambda jobs: [("result-for", job_key(j)) for j in jobs],
         )
         jobs = distinct_jobs(6)
         with scheduler:
@@ -327,3 +450,50 @@ class TestBackgroundWorkers:
             assert scheduler.wait([ticket.key], timeout=10.0)
         assert scheduler.result(ticket.key) == ("result-for", ticket.key)
         assert scheduler.stats.retried == 1
+
+    def test_concurrent_submitters_execute_each_key_once(
+        self, same_trace_jobs, distinct_jobs
+    ):
+        """Four tenants race overlapping batches into four workers."""
+        executed: list[str] = []
+        record = threading.Lock()
+
+        def execute(jobs):
+            keys = [job_key(job) for job in jobs]
+            with record:
+                executed.extend(keys)
+            return [("result-for", key) for key in keys]
+
+        jobs = same_trace_jobs(6) + distinct_jobs(6)
+        keys = {job_key(job) for job in jobs}
+        scheduler = ServiceScheduler(
+            workers=4, execute=execute, queue_capacity=None
+        )
+
+        def tenant(name):
+            for start in range(0, len(jobs), 3):
+                scheduler.submit(name, jobs[start:start + 3])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with scheduler:
+                threads = [
+                    threading.Thread(target=tenant, args=(f"t{index}",))
+                    for index in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert scheduler.wait(keys, timeout=10.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert sorted(executed) == sorted(keys)
+        stats = scheduler.stats
+        assert stats.executed == stats.queued == len(keys)
+        assert stats.submitted == 4 * len(jobs) == (
+            stats.served_memo + stats.attached + stats.queued
+        )
+        assert scheduler.queue_depth() == 0

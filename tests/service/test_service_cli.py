@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.__main__ import main
+from repro.engine.store import generation_store
 from repro.service.api import serve_in_thread
 from repro.service.scheduler import ServiceScheduler
 
@@ -12,10 +13,8 @@ from repro.service.scheduler import ServiceScheduler
 @pytest.fixture(scope="module")
 def served_port(tmp_path_factory):
     """A real service on an ephemeral port (store-backed, 2 workers)."""
-    from repro.engine.session import DiskResultCache
-
-    cache = DiskResultCache(tmp_path_factory.mktemp("cli-cache"))
-    scheduler = ServiceScheduler(cache.store, workers=2)
+    store = generation_store(tmp_path_factory.mktemp("cli-cache"))
+    scheduler = ServiceScheduler(store, workers=2)
     scheduler.start()
     handle = serve_in_thread(scheduler)
     yield handle.port
@@ -78,11 +77,10 @@ def test_submit_without_service_fails_cleanly(capsys):
 def test_serve_and_submit_share_cache_generations(tmp_path, capsys):
     """`serve --cache-dir` publishes where library sessions read."""
     from repro.engine.jobs import job_key
-    from repro.engine.session import DiskResultCache
+    from repro.engine.session import SimulationSession
     from repro.service.requests import JobRequest, resolve
 
-    cache = DiskResultCache(tmp_path)
-    scheduler = ServiceScheduler(cache.store, workers=2)
+    scheduler = ServiceScheduler(generation_store(tmp_path), workers=2)
     scheduler.start()
     handle = serve_in_thread(scheduler)
     try:
@@ -99,10 +97,13 @@ def test_serve_and_submit_share_cache_generations(tmp_path, capsys):
         request = JobRequest(
             benchmark="adpcm_c", trace_length=1000, seed=3
         )
-        key = job_key(resolve(request))
+        job = resolve(request)
         # The entry landed in the generation a library session with the
         # same --cache-dir would consult.
-        assert DiskResultCache(tmp_path).get(key) is not None
+        assert generation_store(tmp_path).get(job_key(job)) is not None
+        with SimulationSession(cache_dir=tmp_path) as session:
+            session.run_jobs([job])
+        assert session.stats.disk_hits == 1
     finally:
         handle.close()
         scheduler.stop()

@@ -10,7 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.service.store import ShardedResultStore
+from repro.engine.store import ShardedResultStore
 
 
 def _key(label) -> str:

@@ -2,8 +2,11 @@
 
 import os
 import pathlib
+import socket
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -1031,6 +1034,35 @@ class TestErrorContract:
         assert len(errors) == 1, captured.err
         if not usage:
             assert captured.err == errors[0] + "\n"
+
+    def test_serve_busy_port_fails_fast(self, capsys):
+        """A port someone else holds: exit 2 at once, no workers left."""
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            before = set(threading.enumerate())
+            outcome = {}
+            started = time.monotonic()
+            # A daemon thread: if the bind wrongly succeeded, ``serve``
+            # would block forever, and the join timeout fails the test.
+            runner = threading.Thread(
+                target=lambda: outcome.update(
+                    status=main(["serve", "--port", str(port)])
+                ),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(timeout=5.0)
+            elapsed = time.monotonic() - started
+        assert not runner.is_alive() and elapsed < 5.0
+        assert outcome["status"] == 2
+        assert set(threading.enumerate()) <= before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("repro serve: error: ")
+        assert captured.err.count("\n") == 1
 
     def test_entry_point_reports_without_traceback(self):
         """``python -m repro`` exits 2 through the same boundary."""

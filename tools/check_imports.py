@@ -1,24 +1,27 @@
 #!/usr/bin/env python3
-"""Layering lint: no new direct ``repro.sram`` imports (no external deps).
+"""Layering lint: gated packages are imported only from allowed places.
 
-The cell-technology API (:mod:`repro.cells`) is the supported way to
-consume bitcells — it re-exports the SRAM stack and adds the protocol,
-registry and non-SRAM technologies.  Direct ``repro.sram`` imports
-bypass the protocol and freeze callers onto one technology, so this
-gate walks ``src/repro`` with :mod:`ast` and fails on any ``import
-repro.sram...`` / ``from repro.sram... import ...`` outside the two
-packages allowed to know the layering:
+Each row of :data:`RULES` gates one module prefix and names the
+entries of the scanned package root (directories or top-level files)
+whose code may import it.  This gate walks ``src/repro`` with
+:mod:`ast` and fails on any ``import <prefix>...`` /
+``from <prefix>... import ...`` elsewhere:
 
-* ``repro/sram/`` itself (intra-package imports), and
-* ``repro/cells/`` (the compatibility shim re-exporting it).
+* ``repro.sram`` — only ``repro/sram/`` itself and ``repro/cells/``
+  (the compatibility shim re-exporting it).  The cell-technology API
+  is the supported way to consume bitcells; direct ``repro.sram``
+  imports bypass the protocol and freeze callers onto one technology.
+* ``repro.service`` — only ``repro/service/`` itself and the CLI
+  (``repro/__main__.py``).  The service sits on top of the engine, so
+  nothing below it may depend on it (DESIGN.md §1).
 
 Usage::
 
     python tools/check_imports.py src/repro
     python tools/check_imports.py src/repro --list
 
-Runs in CI and as a test (``tests/docs/test_documentation.py`` style),
-so a violating import fails the suite before it fails review.
+Runs in CI and as a test (``tests/docs/test_import_layering.py``), so
+a violating import fails the suite before it fails review.
 """
 
 from __future__ import annotations
@@ -28,33 +31,33 @@ import ast
 import pathlib
 import sys
 
-#: Module prefix whose direct imports are gated.
-FORBIDDEN_PREFIX = "repro.sram"
+#: (gated module prefix, package-root entries allowed to import it).
+RULES = (
+    ("repro.sram", ("sram", "cells")),
+    ("repro.service", ("service", "__main__.py")),
+)
 
-#: Directories (relative to the scanned package root) whose files may
-#: import the gated prefix directly.
-ALLOWED_DIRS = ("sram", "cells")
+
+def _gated(name: str, prefix: str) -> bool:
+    """Whether a dotted module name is the prefix or inside it."""
+    return name == prefix or name.startswith(prefix + ".")
 
 
-def _violations_in(path: pathlib.Path, tree: ast.Module) -> list[str]:
-    """Offending import lines of one parsed module."""
+def _violations_in(
+    path: pathlib.Path, tree: ast.Module, prefix: str
+) -> list[str]:
+    """Offending import lines of one parsed module for one rule."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if (
-                    alias.name == FORBIDDEN_PREFIX
-                    or alias.name.startswith(FORBIDDEN_PREFIX + ".")
-                ):
+                if _gated(alias.name, prefix):
                     found.append(
                         f"{path}:{node.lineno}: import {alias.name}"
                     )
-        elif isinstance(node, ast.ImportFrom):
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
             module = node.module or ""
-            if node.level == 0 and (
-                module == FORBIDDEN_PREFIX
-                or module.startswith(FORBIDDEN_PREFIX + ".")
-            ):
+            if _gated(module, prefix):
                 found.append(
                     f"{path}:{node.lineno}: from {module} import ..."
                 )
@@ -62,16 +65,18 @@ def _violations_in(path: pathlib.Path, tree: ast.Module) -> list[str]:
 
 
 def check_package(root: pathlib.Path) -> list[str]:
-    """All forbidden-import violations under ``root``, sorted."""
+    """All violations of :data:`RULES` under ``root``, sorted by file."""
     violations: list[str] = []
     for path in sorted(root.rglob("*.py")):
-        relative = path.relative_to(root)
-        if relative.parts and relative.parts[0] in ALLOWED_DIRS:
+        entry = path.relative_to(root).parts[0]
+        applicable = [rule for rule in RULES if entry not in rule[1]]
+        if not applicable:
             continue
         tree = ast.parse(
             path.read_text(encoding="utf-8"), filename=str(path)
         )
-        violations.extend(_violations_in(path, tree))
+        for prefix, _allowed in applicable:
+            violations.extend(_violations_in(path, tree, prefix))
     return violations
 
 
@@ -96,15 +101,18 @@ def main(argv: list[str] | None = None) -> int:
         print(line)
     if violations and not args.list:
         print(
-            f"{len(violations)} direct {FORBIDDEN_PREFIX} import(s) "
-            "outside repro/sram and repro/cells; import from "
-            "repro.cells instead",
+            f"{len(violations)} layering violation(s); allowed importers: "
+            + "; ".join(
+                f"{prefix} <- {', '.join(allowed)}"
+                for prefix, allowed in RULES
+            ),
             file=sys.stderr,
         )
         return 1
     print(
-        f"import layering OK: no direct {FORBIDDEN_PREFIX} imports "
-        "outside the allowed packages"
+        "import layering OK: "
+        + ", ".join(prefix for prefix, _allowed in RULES)
+        + " imported only from their allowed packages"
     )
     return 0
 

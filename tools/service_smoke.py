@@ -34,11 +34,11 @@ if str(REPO_SRC) not in sys.path:  # pragma: no cover - direct execution
 
 from repro.engine.jobs import job_key  # noqa: E402
 from repro.engine.session import SimulationSession  # noqa: E402
+from repro.engine.store import ShardedResultStore  # noqa: E402
 from repro.service.api import serve_in_thread  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.requests import JobRequest, resolve  # noqa: E402
 from repro.service.scheduler import ServiceScheduler  # noqa: E402
-from repro.service.store import ShardedResultStore  # noqa: E402
 from repro.workloads.mediabench import BENCHMARKS  # noqa: E402
 
 #: Acceptance floor for cross-client deduplication.
