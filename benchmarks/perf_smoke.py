@@ -53,7 +53,6 @@ import json
 import pathlib
 import sys
 import time
-from dataclasses import replace
 
 from repro.core.evaluation import cached_chips, evaluate_scenario
 from repro.core.scenarios import Scenario
@@ -189,7 +188,7 @@ def _timed_sweep(trace_length: int, candidates: int) -> dict:
 
     start = time.perf_counter()
     for job in jobs[:per_candidate]:
-        execute_job(replace(job, backend="reference"))
+        execute_job(job, backend="reference")
     reference_candidate_seconds = time.perf_counter() - start
     reference_seconds = reference_candidate_seconds * candidates
 

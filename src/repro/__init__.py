@@ -68,7 +68,7 @@ _LAZY_EXPORTS = {
     "run_experiment": ("repro.experiments.registry", "run_experiment"),
     "SimulationJob": ("repro.engine.jobs", "SimulationJob"),
     "SimulationSession": ("repro.engine.session", "SimulationSession"),
-    "TraceSpec": ("repro.engine.jobs", "TraceSpec"),
+    "TraceSpec": ("repro.workloads.mediabench", "TraceSpec"),
     "DesignSpace": ("repro.explore.space", "DesignSpace"),
     "DieFaultMap": ("repro.faults.maps", "DieFaultMap"),
     "PopulationStudy": ("repro.faults.population", "PopulationStudy"),

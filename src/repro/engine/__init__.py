@@ -10,10 +10,12 @@ evaluation pipeline (see DESIGN.md section 5):
   per-set stream extraction and run-collapsed LRU kernels.
 * :mod:`repro.engine.plan` — :class:`StreamPlan`: the trace-dependent
   half of the fast path, hoisted so batches reuse it across jobs.
-* :mod:`repro.engine.batch` — trace-grouped execution: shared plans,
-  memoized functional simulations, store-backed worker dispatch.
+* :mod:`repro.engine.batch` — trace-grouped execution: shared plans
+  and memoized functional simulations, one group per worker call.
 * :mod:`repro.engine.jobs` — picklable job descriptions, their
-  content-hash keys and the per-job reference run.
+  content-hash keys and the per-job reference run.  A job's trace is a
+  :class:`TraceSpec` or an inline :class:`~repro.cpu.trace.Trace`;
+  both come from :mod:`repro.workloads`, which sits below the engine.
 * :mod:`repro.engine.store` — :class:`ShardedResultStore`: the
   content-hash-keyed on-disk result store, lock-free across processes,
   shared by sessions and the simulation service.
@@ -32,10 +34,8 @@ __all__ = [
     "BACKENDS",
     "SimulationJob",
     "SimulationSession",
-    "StoredTraceRef",
     "StreamPlan",
     "TraceSpec",
-    "TraceStore",
     "build_stream_plan",
     "current_session",
     "execute_group",
@@ -49,13 +49,11 @@ _LAZY_EXPORTS = {
     "BACKENDS": ("repro.engine.backends", "BACKENDS"),
     "simulate_cache": ("repro.engine.backends", "simulate_cache"),
     "SimulationJob": ("repro.engine.jobs", "SimulationJob"),
-    "TraceSpec": ("repro.engine.jobs", "TraceSpec"),
+    "TraceSpec": ("repro.workloads.mediabench", "TraceSpec"),
     "job_key": ("repro.engine.jobs", "job_key"),
     "StreamPlan": ("repro.engine.plan", "StreamPlan"),
     "build_stream_plan": ("repro.engine.plan", "build_stream_plan"),
     "execute_group": ("repro.engine.batch", "execute_group"),
-    "StoredTraceRef": ("repro.workloads.store", "StoredTraceRef"),
-    "TraceStore": ("repro.workloads.store", "TraceStore"),
     "SimulationSession": ("repro.engine.session", "SimulationSession"),
     "current_session": ("repro.engine.session", "current_session"),
     "reset_default_session": (

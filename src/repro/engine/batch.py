@@ -23,33 +23,19 @@ StreamPlan` cache and a content-keyed memo of finished
 :func:`repro.engine.backends.simulate_cache` — all downstream code is
 shared with the per-job path, which is what makes the batched results
 bit-identical (enforced by ``tests/engine/test_batch_equivalence.py``).
-
-For multi-process dispatch, :func:`strip_traces` swaps inline traces
-for :class:`~repro.workloads.store.StoredTraceRef` pointers into the
-content-addressed mmap store, so workers open trace columns by digest
-instead of unpickling megabytes of arrays per group.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import replace
 from typing import Callable, Sequence
 
 from repro.cpu.chip import RunResult
-from repro.cpu.trace import Trace
 from repro.engine import backends
-from repro.engine.jobs import (
-    SimulationJob,
-    TraceSpec,
-    _trace_token,
-    chip_for,
-    trace_for,
-)
+from repro.engine.jobs import SimulationJob, _trace_token, chip_for, trace_for
 from repro.engine.plan import build_stream_plan, geometry_key
 from repro.util.canonical import canonical_text
 from repro.util.profiling import phase
-from repro.workloads.store import StoredTraceRef, TraceStore
 
 
 def _isolated(stats):
@@ -70,11 +56,10 @@ def _isolated(stats):
 def group_by_trace(jobs: Sequence[SimulationJob]) -> list[list[int]]:
     """Partition job indices into same-trace groups.
 
-    Groups are keyed by the job-key trace token (so a
-    :class:`~repro.workloads.store.StoredTraceRef` groups with the
-    inline :class:`~repro.cpu.trace.Trace` it points to) and returned
-    in first-occurrence order — the property the session relies on to
-    keep batched execution deterministic.
+    Groups are keyed by the job-key trace token (so equal-content
+    inline traces group together) and returned in first-occurrence
+    order — the property the session relies on to keep batched
+    execution deterministic.
     """
     by_token: dict[str, list[int]] = {}
     groups: list[list[int]] = []
@@ -108,59 +93,6 @@ def partition_for_dispatch(
         for start in range(0, len(group), limit):
             chunks.append(group[start : start + limit])
     return chunks
-
-
-def strip_traces(
-    jobs: Sequence[SimulationJob], store: TraceStore
-) -> list[SimulationJob]:
-    """Replace inline traces with store references before dispatch.
-
-    Persisting is idempotent (content-addressed), so repeated batches
-    over the same traces write once and dispatch pointers forever
-    after.  Symbolic :class:`~repro.engine.jobs.TraceSpec` jobs pass
-    through untouched — they never carried arrays in the first place.
-    """
-    stripped: list[SimulationJob] = []
-    for job in jobs:
-        if isinstance(job.trace, Trace):
-            stripped.append(replace(job, trace=store.put(job.trace)))
-        else:
-            stripped.append(job)
-    return stripped
-
-
-#: Per-process handles: stores are stateless-cheap but the loaded
-#: store-backed traces memoize like ``jobs._TRACE_MEMO`` (bounded FIFO)
-#: so consecutive groups on one worker reopen nothing.
-_STORE_MEMO: dict[str, TraceStore] = {}
-_STORED_TRACE_MEMO: dict[tuple[str, str], Trace] = {}
-_STORED_TRACE_LIMIT = 32
-
-
-def open_store(root=None) -> TraceStore:
-    """The per-process :class:`TraceStore` handle for a root."""
-    key = str(root) if root is not None else ""
-    store = _STORE_MEMO.get(key)
-    if store is None:
-        store = TraceStore(root)
-        _STORE_MEMO[key] = store
-    return store
-
-
-def resolve_trace(
-    trace: TraceSpec | Trace | StoredTraceRef, store_root=None
-) -> Trace:
-    """Materialize a job's trace, whatever form it travelled in."""
-    if isinstance(trace, StoredTraceRef):
-        key = (trace.name, trace.digest)
-        resolved = _STORED_TRACE_MEMO.get(key)
-        if resolved is None:
-            resolved = open_store(store_root).get(trace)
-            while len(_STORED_TRACE_MEMO) >= _STORED_TRACE_LIMIT:
-                _STORED_TRACE_MEMO.pop(next(iter(_STORED_TRACE_MEMO)))
-            _STORED_TRACE_MEMO[key] = resolved
-        return resolved
-    return trace_for(trace)
 
 
 class _SharedTraceContext:
@@ -280,15 +212,14 @@ class _SharedTraceContext:
 def execute_group(
     jobs: Sequence[SimulationJob],
     backend: str = "auto",
-    store_root=None,
     on_result: Callable[[RunResult], None] | None = None,
 ) -> list[RunResult]:
     """Run one same-trace job group with shared precomputation.
 
     Module-level and picklable-by-reference: this is the unit the
-    session submits to worker processes.  The trace resolves once (from
-    the store, the per-process spec memo, or inline), then every job
-    runs through the ordinary :meth:`~repro.cpu.chip.Chip.run` with the
+    session submits to worker processes.  The trace resolves once
+    (inline, or from the per-process spec memo), then every job runs
+    through the ordinary :meth:`~repro.cpu.chip.Chip.run` with the
     group's :class:`_SharedTraceContext` as its simulation seam.
 
     ``on_result`` — when given — fires after each job (serial sessions
@@ -297,7 +228,7 @@ def execute_group(
     results: list[RunResult] = []
     if not jobs:
         return results
-    trace = resolve_trace(jobs[0].trace, store_root)
+    trace = trace_for(jobs[0].trace)
     context = _SharedTraceContext()
     for job in jobs:
         chip = chip_for(job.chip)
@@ -306,7 +237,7 @@ def execute_group(
                 trace,
                 job.mode,
                 operating_point=job.operating_point,
-                backend=job.backend or backend,
+                backend=backend,
                 fault_map=job.fault_map,
                 transients=job.transients,
                 simulate=context.simulate,

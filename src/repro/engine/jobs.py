@@ -8,13 +8,15 @@ across processes and memoizes on disk.
 Traces are usually referenced symbolically (:class:`TraceSpec`) so that
 worker processes regenerate them locally instead of shipping megabytes of
 arrays through pickling; an inline :class:`repro.cpu.trace.Trace` is also
-accepted for ad-hoc streams.  Chips travel as :class:`ChipConfig` (pure
-frozen dataclasses) and are rebuilt — and memoized — per process.
+accepted for ad-hoc, ingested and mixed streams.  Chips travel as
+:class:`ChipConfig` (pure frozen dataclasses) and are rebuilt — and
+memoized — per process.
 
 ``job_key`` derives a content hash over everything that determines the
-result.  The simulation *backend* is deliberately excluded: backends are
-bit-identical by contract (enforced by ``tests/engine``), so results are
-shared across backend choices.
+result.  The simulation *backend* is not part of a job: whoever
+executes it chooses one, and backends are bit-identical by contract
+(enforced by ``tests/engine``), so results are shared across backend
+choices.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from functools import lru_cache
 from repro.cpu.chip import Chip, ChipConfig, RunResult
 from repro.cpu.trace import Trace
 from repro.faults.maps import DieFaultMap
-from repro.workloads.store import StoredTraceRef
 from repro.tech.operating import Mode, OperatingPoint
 from repro.transients.spec import TransientSpec
 from repro.util.canonical import canonical_text
 from repro.util.profiling import phase
+from repro.workloads.mediabench import TraceSpec, generate_trace
 
 #: Bump when the key schema itself changes.  v4: jobs carry an optional
 #: soft-error injection spec (``SimulationJob.transients``), tokenized
@@ -59,29 +61,18 @@ def _code_fingerprint() -> str:
 
 
 @dataclass(frozen=True)
-class TraceSpec:
-    """A regenerable trace: registered benchmark name + length + seed."""
-
-    benchmark: str
-    length: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class SimulationJob:
     """One (chip, trace, mode, operating point) simulation request.
 
     Attributes:
         chip: the chip configuration to run.
-        trace: a :class:`TraceSpec` (regenerated in the worker), an
-            inline :class:`Trace`, a store reference, or any workload
-            :class:`~repro.workloads.source.TraceSource` (resolved to
-            one of the former via ``job_trace()`` — the session
-            normalizes sources before dispatch so nothing un-picklable
-            reaches a pool).
+        trace: a :class:`TraceSpec` (regenerated in the worker) or an
+            inline :class:`Trace` (pickled with the job's dispatch
+            chunk).  A workload
+            :class:`~repro.workloads.source.TraceSource` supplies one
+            of the two through its ``job_trace()``.
         mode: operating mode of the run.
         operating_point: optional override of the mode's paper default.
-        backend: simulation backend; None defers to the session default.
         fault_map: one die's disabled-line map
             (:class:`repro.faults.maps.DieFaultMap`); None simulates a
             fault-free die.  Keyed by *content*, so identical dies of a
@@ -96,47 +87,24 @@ class SimulationJob:
     """
 
     chip: ChipConfig
-    trace: TraceSpec | Trace | StoredTraceRef
+    trace: TraceSpec | Trace
     mode: Mode
     operating_point: OperatingPoint | None = None
-    backend: str | None = None
     fault_map: DieFaultMap | None = None
     transients: TransientSpec | None = None
 
 
-def resolve_source(trace):
-    """Collapse a workload :class:`~repro.workloads.source.TraceSource`
-    into its job payload; plain trace values pass through.
-
-    Duck-typed on ``job_trace`` so the engine never imports the source
-    layer: a :class:`~repro.workloads.source.SyntheticSource` resolves
-    to the classic :class:`TraceSpec` (byte-identical keys with the
-    pre-source-layer engine), ingested and mix sources resolve to their
-    inline :class:`Trace`.
-    """
-    job_trace = getattr(trace, "job_trace", None)
-    return job_trace() if callable(job_trace) else trace
-
-
-def _trace_token(trace) -> str:
+def _trace_token(trace: TraceSpec | Trace) -> str:
     """Canonical text for the trace part of a job key.
 
-    Inline traces are keyed by name *and* content digest
+    A :class:`TraceSpec` is keyed by its ``repr``.  Inline traces are
+    keyed by name *and* content digest
     (:meth:`repro.cpu.trace.Trace.content_digest`), so content-named
     slices of a recurring phase — :meth:`Trace.slice`'s default — map
-    to the same key and deduplicate in the session.  A
-    :class:`~repro.workloads.store.StoredTraceRef` produces the *same*
-    token as the inline trace it points to: swapping a trace for its
-    store reference (what the session does before worker dispatch)
-    never changes a job key.  Trace *sources* tokenize as whatever
-    they resolve to, so a source-built job deduplicates against its
-    plain-trace twin.
+    to the same key and deduplicate in the session.
     """
-    trace = resolve_source(trace)
     if isinstance(trace, TraceSpec):
         return repr(trace)
-    if isinstance(trace, StoredTraceRef):
-        return f"Trace({trace.name!r}, n={trace.length}, {trace.digest})"
     return (
         f"Trace({trace.name!r}, n={len(trace)}, {trace.content_digest()})"
     )
@@ -246,21 +214,12 @@ def chip_for(config: ChipConfig) -> Chip:
     return chip
 
 
-def trace_for(trace) -> Trace:
+def trace_for(trace: TraceSpec | Trace) -> Trace:
     """Resolve a job's trace, regenerating specs at most once."""
-    trace = resolve_source(trace)
     if isinstance(trace, Trace):
         return trace
-    if isinstance(trace, StoredTraceRef):
-        # Store-backed refs resolve through the batch layer's bounded
-        # per-process memo (lazy import: batch imports this module).
-        from repro.engine.batch import resolve_trace
-
-        return resolve_trace(trace)
     resolved = _TRACE_MEMO.get(trace)
     if resolved is None:
-        from repro.workloads.mediabench import generate_trace
-
         resolved = generate_trace(
             trace.benchmark, length=trace.length, seed=trace.seed
         )
@@ -284,7 +243,7 @@ def execute_job(job: SimulationJob, backend: str = "auto") -> RunResult:
             trace,
             job.mode,
             operating_point=job.operating_point,
-            backend=job.backend or backend,
+            backend=backend,
             fault_map=job.fault_map,
             transients=job.transients,
         )

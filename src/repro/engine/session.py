@@ -7,7 +7,9 @@ the session
 * **deduplicates** identical jobs within and across batches (the same
   (chip, trace, mode, operating point) never simulates twice),
 * **dispatches** independent jobs across worker processes with
-  :class:`concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``,
+  :class:`concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``, in
+  same-trace chunks: a :class:`~repro.engine.jobs.TraceSpec` is
+  regenerated in the worker, an inline trace is pickled with its chunk,
 * **memoizes** results in memory and, optionally, in the content-hash-keyed
   on-disk store (:func:`repro.engine.store.generation_store`) that
   survives across invocations.
@@ -24,7 +26,7 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -35,17 +37,14 @@ from typing import (
 )
 
 from repro.cpu.chip import RunResult
-from repro.cpu.trace import Trace
 from repro.engine.backends import BACKENDS
 from repro.engine.batch import (
     execute_group,
     group_by_trace,
     partition_for_dispatch,
-    strip_traces,
 )
-from repro.engine.jobs import SimulationJob, job_key, resolve_source
+from repro.engine.jobs import SimulationJob, job_key
 from repro.engine.store import generation_store
-from repro.workloads.store import TraceStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.report import ExperimentResult
@@ -118,12 +117,6 @@ class SimulationSession:
         survive across invocations; any package source edit orphans
         them automatically (see ``docs/architecture.md``, "The
         job-key/caching contract").
-    trace_store : path-like, optional
-        Root of the content-addressed mmap trace store used to ship
-        inline traces to worker processes by digest instead of
-        pickling their arrays (see :mod:`repro.workloads.store`).
-        Defaults to ``$REPRO_TRACE_STORE`` or a per-user temp
-        directory.
 
     Notes
     -----
@@ -173,7 +166,6 @@ class SimulationSession:
         jobs: int = 1,
         backend: str = "auto",
         cache_dir: str | os.PathLike | None = None,
-        trace_store: str | os.PathLike | None = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -190,15 +182,6 @@ class SimulationSession:
         self._store = (
             generation_store(cache_dir) if cache_dir is not None else None
         )
-        self._trace_store_root = trace_store
-        self._trace_store: TraceStore | None = None
-
-    @property
-    def trace_store(self) -> TraceStore:
-        """The session's trace store (created lazily)."""
-        if self._trace_store is None:
-            self._trace_store = TraceStore(self._trace_store_root)
-        return self._trace_store
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent)."""
@@ -238,16 +221,6 @@ class SimulationSession:
         the jobs that actually execute, after dedup and cache hits), so
         campaign-scale batches can report without touching the workers.
         """
-        # Normalize workload sources up front: a TraceSource collapses
-        # to its job payload (TraceSpec for synthetic, inline Trace for
-        # ingested/mix), so the dedup/dispatch pipeline below — and the
-        # pool's pickling — only ever sees plain trace values.
-        jobs = [
-            job
-            if job.trace is (resolved := resolve_source(job.trace))
-            else replace(job, trace=resolved)
-            for job in jobs
-        ]
         keys = [job_key(job) for job in jobs]
         pending: dict[str, SimulationJob] = {}
         for key, job in zip(keys, jobs):
@@ -299,37 +272,27 @@ class SimulationSession:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(max_workers=self.jobs)
             # Same-trace jobs travel as groups so workers share each
-            # trace's plan and functional-simulation memo; inline
-            # traces are swapped for content-addressed store refs so
-            # the pool never pickles trace arrays.
-            chunks = partition_for_dispatch(jobs, self.jobs)
-            dispatch: Sequence[SimulationJob] = jobs
-            store_root = self._trace_store_root
-            if any(isinstance(job.trace, Trace) for job in jobs):
-                store = self.trace_store
-                dispatch = strip_traces(jobs, store)
-                store_root = store.root
+            # trace's plan and functional-simulation memo.  A chunk is
+            # pickled in one call, so an inline trace its jobs share
+            # ships once per chunk.
             futures = {
                 self._pool.submit(
                     execute_group,
-                    [dispatch[index] for index in chunk],
+                    [jobs[index] for index in chunk],
                     backend=self.backend,
-                    store_root=store_root,
                 ): chunk
-                for chunk in chunks
+                for chunk in partition_for_dispatch(jobs, self.jobs)
             }
             for future in as_completed(futures):
                 for index, result in zip(futures[future], future.result()):
                     results[index] = result
                     _advance(result)
             return results
-        # Serial: groups run in-process; traces stay inline (the store
-        # only earns its keep across a process boundary).
+        # Serial: groups run in-process.
         for group in group_by_trace(jobs):
             group_results = execute_group(
                 [jobs[index] for index in group],
                 backend=self.backend,
-                store_root=self._trace_store_root,
                 on_result=_advance,
             )
             for index, result in zip(group, group_results):

@@ -362,7 +362,7 @@ def ingest_file(
     trace, fmt = trace_from_file(
         path, fmt=fmt, name=name, limit=limit, skip=skip
     )
-    ref = store.put(trace, compress=True)
+    ref = store.put(trace)
     entry = CatalogEntry(
         name=trace.name,
         digest=ref.digest,

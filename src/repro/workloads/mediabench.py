@@ -187,6 +187,21 @@ def benchmark_by_name(name: str) -> BenchmarkSpec:
         ) from None
 
 
+@dataclass(frozen=True)
+class TraceSpec:
+    """A regenerable trace: registered benchmark name + length + seed.
+
+    What a simulation job carries for a registered benchmark instead of
+    the trace itself: worker processes regenerate it locally with
+    :func:`generate_trace`.  Its ``repr`` is the trace part of every
+    synthetic job key.
+    """
+
+    benchmark: str
+    length: int
+    seed: int
+
+
 def generate_trace(
     spec: BenchmarkSpec | str, length: int = 200_000, seed: int = 2013
 ) -> Trace:

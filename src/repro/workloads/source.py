@@ -7,9 +7,9 @@ digest its content, and materialize a :class:`~repro.cpu.trace.Trace`:
 
 * :class:`SyntheticSource` wraps the existing generator.  Its
   :meth:`~SyntheticSource.job_trace` hands the engine the exact
-  :class:`~repro.engine.jobs.TraceSpec` it used before this layer
-  existed, so synthetic job keys — and every cached result keyed by
-  them — are byte-identical (ENGINE_CACHE_VERSION untouched).
+  :class:`~repro.workloads.mediabench.TraceSpec` it used before this
+  layer existed, so synthetic job keys — and every cached result keyed
+  by them — are byte-identical (ENGINE_CACHE_VERSION untouched).
 * :class:`IngestedSource` reads a real-workload trace out of the
   content-addressed store (see :mod:`repro.workloads.ingest`).
 * :class:`MixSource` interleaves component sources into one
@@ -22,6 +22,9 @@ digest its content, and materialize a :class:`~repro.cpu.trace.Trace`:
 ``mix1..mix7`` :class:`~repro.workloads.suites.MixSpec` entries) into
 sources, preferring an ingested trace of the same name when the store
 catalog has one and falling back to a synthetic proxy otherwise.
+
+Callers build simulation jobs from :meth:`TraceSource.job_trace`; this
+package imports nothing from :mod:`repro.engine`.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from typing import Iterable, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from ..cpu.trace import Trace
-from .mediabench import BenchmarkSpec, generate_trace
-from .store import TraceStore
+from .mediabench import BenchmarkSpec, TraceSpec, generate_trace
+from .store import StoredTraceRef, TraceStore
 from .suites import MixSpec
 
 #: Bits of address kept per mix component; the top byte becomes the
@@ -46,20 +49,13 @@ class TraceSource(Protocol):
     """Structural protocol: anything that can produce a trace.
 
     Implementations are immutable and deterministic — the same source
-    always materializes byte-identical arrays, which is what lets the
-    engine key caches off :meth:`token`.
+    always materializes byte-identical arrays, so the jobs built from
+    :meth:`job_trace` keep stable keys across rebuilds.
     """
 
     @property
     def name(self) -> str:
         """Human-readable workload name (suite listings, job labels)."""
-        ...  # pragma: no cover - protocol signature
-
-    @property
-    def token(self) -> str:
-        """Canonical identity string, matching the engine's trace
-        tokens so a source and the trace it materializes deduplicate
-        into the same job group."""
         ...  # pragma: no cover - protocol signature
 
     def content_digest(self) -> str:
@@ -70,7 +66,7 @@ class TraceSource(Protocol):
         """Produce the trace (cached per source instance)."""
         ...  # pragma: no cover - protocol signature
 
-    def job_trace(self):
+    def job_trace(self) -> TraceSpec | Trace:
         """What a :class:`~repro.engine.jobs.SimulationJob` should
         carry for this source — a ``TraceSpec`` when the trace is
         cheaply regenerable, else the materialized ``Trace``."""
@@ -80,8 +76,8 @@ class TraceSource(Protocol):
 class SyntheticSource:
     """A benchmark generated by :func:`~repro.workloads.mediabench.generate_trace`.
 
-    The pre-refactor pipeline in one object: digests, tokens and job
-    payloads are byte-identical to building the ``TraceSpec`` by hand.
+    The pre-refactor pipeline in one object: digests and job payloads
+    are byte-identical to building the ``TraceSpec`` by hand.
     """
 
     def __init__(self, spec: BenchmarkSpec, length: int, seed: int) -> None:
@@ -95,15 +91,6 @@ class SyntheticSource:
         """The benchmark name."""
         return self.spec.name
 
-    @property
-    def token(self) -> str:
-        """Mirrors ``repr(TraceSpec(...))``, the engine's synthetic
-        trace token, so sources dedup against plain-spec jobs."""
-        return (
-            f"TraceSpec(benchmark={self.spec.name!r}, "
-            f"length={self.length}, seed={self.seed})"
-        )
-
     def content_digest(self) -> str:
         """Digest of the generated arrays (generates on first call)."""
         return self.materialize().content_digest()
@@ -116,12 +103,10 @@ class SyntheticSource:
             )
         return self._trace
 
-    def job_trace(self):
+    def job_trace(self) -> TraceSpec:
         """The classic ``TraceSpec`` — workers regenerate locally, so
         nothing ships over the process pool and job keys are unchanged
         from the pre-source-layer engine."""
-        from ..engine.jobs import TraceSpec
-
         return TraceSpec(
             benchmark=self.spec.name, length=self.length, seed=self.seed
         )
@@ -173,11 +158,6 @@ class IngestedSource:
         """The catalog name of the ingested trace."""
         return self._name
 
-    @property
-    def token(self) -> str:
-        """Matches the engine's inline-trace/store-ref token format."""
-        return f"Trace({self._name!r}, n={self.length}, {self.digest})"
-
     def content_digest(self) -> str:
         """The store address — no re-hash needed."""
         return self.digest
@@ -185,8 +165,6 @@ class IngestedSource:
     def materialize(self) -> Trace:
         """Load (once) from the store."""
         if self._trace is None:
-            from .store import StoredTraceRef
-
             self._trace = self.store.get(
                 StoredTraceRef(
                     name=self._name, digest=self.digest, length=self.length
@@ -194,9 +172,8 @@ class IngestedSource:
             )
         return self._trace
 
-    def job_trace(self):
-        """The inline trace; the engine session spills it into its own
-        store and ships a reference when dispatching to workers."""
+    def job_trace(self) -> Trace:
+        """The inline trace (pool dispatch pickles it with its jobs)."""
         return self.materialize()
 
     def __repr__(self) -> str:
@@ -264,14 +241,6 @@ class MixSource:
     def name(self) -> str:
         """The mix name (e.g. ``"mix3"``)."""
         return self._name
-
-    @property
-    def token(self) -> str:
-        """Matches the engine's inline-trace token format."""
-        return (
-            f"Trace({self._name!r}, n={self.length}, "
-            f"{self.content_digest()})"
-        )
 
     def content_digest(self) -> str:
         """Digest of the interleaved arrays (materializes on first call)."""
@@ -355,9 +324,9 @@ class MixSource:
         self._trace = Trace(name=self._name, **columns)
         return self._trace
 
-    def job_trace(self):
-        """The inline interleaved trace (spilled to the session store
-        on parallel dispatch, like any inline trace)."""
+    def job_trace(self) -> Trace:
+        """The inline interleaved trace (pool dispatch pickles it with
+        its jobs, like any inline trace)."""
         return self.materialize()
 
     def __repr__(self) -> str:

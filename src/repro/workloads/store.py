@@ -1,18 +1,13 @@
-"""Columnar, content-addressed trace storage with a named catalog.
+"""Content-addressed trace storage with a named catalog.
 
-A :class:`repro.cpu.trace.Trace` is a struct-of-arrays record; this
-module persists its five columns under a directory named by the trace's
-content digest, in one of two layouts::
+The store behind trace ingestion (``repro ingest``): a
+:class:`repro.cpu.trace.Trace` is a struct-of-arrays record, and this
+module persists its five columns, zlib-compressed in one file, under a
+directory named by the trace's content digest::
 
-    <root>/<digest[:2]>/<digest>/{pc,kind,addr,dep_next,redirect}.npy
-    <root>/<digest[:2]>/<digest>/columns.npz      (compressed)
+    <root>/<digest[:2]>/<digest>/columns.npz
 
-The plain ``.npy`` layout is the engine's spill cache: columns reopen
-as read-only memory maps, so worker processes share pages instead of
-re-pickling arrays.  The ``columns.npz`` layout (zlib-compressed, no
-extra dependencies) is for *ingested* real-workload traces, which live
-in the store long-term and are read far less often than spill traces —
-they decompress into memory on :meth:`TraceStore.get`.
+Entries decompress into memory on :meth:`TraceStore.get`.
 
 On top of the content-addressed entries sits a **catalog**
 (``<root>/catalog.json``): a name → provenance index of ingested
@@ -21,12 +16,8 @@ the same scratch-file + atomic-replace discipline as the entries.
 :func:`repro.workloads.source.IngestedSource` resolves names through
 it, and ``repro traces list/verify`` renders and audits it.
 
-The layout buys three things for the simulation engine:
+The layout buys two things:
 
-* **Cheap worker dispatch.**  :class:`SimulationSession` replaces inline
-  traces with :class:`StoredTraceRef` (name + digest + length — a few
-  hundred bytes) before submitting jobs to worker processes, so the
-  ``ProcessPoolExecutor`` never pickles megabytes of arrays.
 * **Content addressing.**  Two traces with equal arrays share one store
   entry whatever they are called, mirroring the engine's job-key rule
   (:func:`repro.engine.jobs.job_key` hashes the same digest).
@@ -35,7 +26,7 @@ The layout buys three things for the simulation engine:
   publish race to another writer is success, not an error.
 
 The store is append-only and entries are immutable — nothing ever
-rewrites a published column file.  Catalog writes are last-writer-wins
+rewrites a published entry.  Catalog writes are last-writer-wins
 read-modify-write; entries themselves are never mutated, so a lost
 catalog race is repaired by re-registering.
 """
@@ -56,7 +47,7 @@ from repro.cpu.trace import Trace
 #: The five trace columns, in the order ``Trace`` declares them.
 COLUMNS = ("pc", "kind", "addr", "dep_next", "redirect")
 
-#: File name of the compressed single-file entry layout.
+#: File name of an entry's compressed columns.
 COMPRESSED_FILE = "columns.npz"
 
 #: File name of the named-trace catalog at the store root.
@@ -125,14 +116,11 @@ class CatalogEntry:
 class StoredTraceRef:
     """A by-digest pointer to a trace persisted in a :class:`TraceStore`.
 
-    Picklable in a few hundred bytes — the whole point: jobs carrying a
-    ref instead of an inline :class:`~repro.cpu.trace.Trace` cross the
-    process boundary without shipping arrays.  ``name`` and ``length``
-    ride along so job keys (and :class:`Trace` reconstruction) need no
-    store round-trip.
+    ``name`` rides along with the digest so :class:`Trace`
+    reconstruction needs no catalog lookup.
 
     Attributes:
-        name: the trace's name (job keys hash name + digest).
+        name: the trace's name.
         digest: the trace's content digest (store address).
         length: dynamic instruction count of the trace.
     """
@@ -150,50 +138,31 @@ class TraceStore:
     root : path-like, optional
         Store root directory (created on first write).  Defaults to
         :func:`default_store_root`.
-
-    Attributes
-    ----------
-    stats : dict
-        Operation counters — ``puts`` (columns written), ``put_hits``
-        (puts satisfied by an existing entry) and ``gets`` (traces
-        opened) — exposed so tests can assert that dispatch resolves
-        through the store instead of re-pickling arrays.
     """
 
     def __init__(self, root: str | os.PathLike | None = None):
         self.root = Path(root) if root is not None else default_store_root()
-        self.stats = {"puts": 0, "put_hits": 0, "gets": 0}
 
     def _entry_dir(self, digest: str) -> Path:
         return self.root / digest[:2] / digest
 
     def contains(self, digest: str) -> bool:
         """Whether an entry for ``digest`` is fully published."""
-        entry = self._entry_dir(digest)
-        if (entry / COMPRESSED_FILE).exists():
-            return True
-        return all((entry / f"{c}.npy").exists() for c in COLUMNS)
+        return (self._entry_dir(digest) / COMPRESSED_FILE).exists()
 
-    def put(self, trace: Trace, compress: bool = False) -> StoredTraceRef:
+    def put(self, trace: Trace) -> StoredTraceRef:
         """Persist a trace (idempotent) and return its reference.
 
         The entry is staged in a scratch directory and published with a
         single :func:`os.rename`; when two writers race, the loser
         observes the winner's entry and discards its own staging — the
         digest guarantees the bytes are identical either way.
-
-        ``compress=True`` writes the zlib-compressed single-file layout
-        (:data:`COMPRESSED_FILE`) instead of per-column memory-mappable
-        ``.npy`` files — the right trade for ingested traces that live
-        in the store long-term.  Both layouts share the same address,
-        so a digest already published in either form is a hit.
         """
         digest = trace.content_digest()
         ref = StoredTraceRef(
             name=trace.name, digest=digest, length=len(trace)
         )
         if self.contains(digest):
-            self.stats["put_hits"] += 1
             return ref
         entry = self._entry_dir(digest)
         entry.parent.mkdir(parents=True, exist_ok=True)
@@ -201,18 +170,13 @@ class TraceStore:
             tempfile.mkdtemp(prefix=f".{digest[:12]}-", dir=entry.parent)
         )
         try:
-            columns = {
-                column: np.ascontiguousarray(getattr(trace, column))
-                for column in COLUMNS
-            }
-            if compress:
-                np.savez_compressed(
-                    scratch / COMPRESSED_FILE, **columns
-                )
-            else:
-                for column, array in columns.items():
-                    np.save(scratch / f"{column}.npy", array)
-            self.stats["puts"] += 1
+            np.savez_compressed(
+                scratch / COMPRESSED_FILE,
+                **{
+                    column: np.ascontiguousarray(getattr(trace, column))
+                    for column in COLUMNS
+                },
+            )
             try:
                 os.rename(scratch, entry)
             except OSError:
@@ -220,20 +184,16 @@ class TraceStore:
                 # byte-identical by content addressing.
                 if not self.contains(digest):
                     raise
-                self.stats["put_hits"] += 1
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
         return ref
 
     def get(self, ref: StoredTraceRef) -> Trace:
-        """Open a stored trace, whichever layout it was published in.
+        """Open a stored trace, decompressed into memory.
 
-        Plain entries open as read-only memory maps (bytes page in
-        lazily and are shared across processes); compressed entries
-        decompress into memory.  The digest cache is seeded from the
-        reference so nothing re-hashes megabytes on access.
+        The digest cache is seeded from the reference so nothing
+        re-hashes megabytes on access.
         """
-        self.stats["gets"] += 1
         arrays = self._load_columns(ref.digest)
         trace = Trace(name=ref.name, **arrays)
         # Seed the digest cache: the store address *is* the digest.
@@ -241,16 +201,9 @@ class TraceStore:
         return trace
 
     def _load_columns(self, digest: str) -> dict[str, np.ndarray]:
-        """The five column arrays of one entry (either layout)."""
-        entry = self._entry_dir(digest)
-        compressed = entry / COMPRESSED_FILE
-        if compressed.exists():
-            with np.load(compressed) as archive:
-                return {column: archive[column] for column in COLUMNS}
-        return {
-            column: np.load(entry / f"{column}.npy", mmap_mode="r")
-            for column in COLUMNS
-        }
+        """The five column arrays of one entry."""
+        with np.load(self._entry_dir(digest) / COMPRESSED_FILE) as archive:
+            return {column: archive[column] for column in COLUMNS}
 
     def __contains__(self, item: StoredTraceRef | str) -> bool:
         digest = item.digest if isinstance(item, StoredTraceRef) else item

@@ -4,7 +4,9 @@
 re-exports the whole SRAM stack, and everything else must consume
 bitcells through it so non-SRAM technologies slot in without touching
 callers.  :mod:`repro.service` sits on top of the engine: only the
-service itself and the CLI import it.  The lint
+service itself and the CLI import it.  :mod:`repro.engine` is imported
+only from the layers above it (and ``repro.cpu``); ``repro.workloads``
+sits below it.  Relative imports are resolved before the check.  The lint
 (``tools/check_imports.py``) runs here and in CI — a new violating
 import fails the suite.
 """
@@ -66,12 +68,28 @@ class TestImportLayering:
         (package / "__main__.py").write_text(
             "import repro.service.api\n", encoding="utf-8"
         )
+        # Relative imports resolve against the file's package: the
+        # workloads layer sits below the engine, the CLI above it.
+        (package / "workloads").mkdir()
+        (package / "workloads" / "source.py").write_text(
+            "from ..engine.jobs import TraceSpec\n"
+            "from .mediabench import generate_trace\n",
+            encoding="utf-8",
+        )
+        (package / "core").mkdir()
+        (package / "core" / "evaluation.py").write_text(
+            "from ..engine.jobs import SimulationJob\n", encoding="utf-8"
+        )
         violations = check_imports.check_package(package)
-        assert len(violations) == 4
+        assert len(violations) == 5
         assert any("bad.py" in line for line in violations)
         assert any("worse.py" in line for line in violations)
         assert any("session.py" in line for line in violations)
         assert any("batch.py" in line for line in violations)
+        assert any(
+            line.endswith("source.py:1: from repro.engine.jobs import ...")
+            for line in violations
+        )
 
     def test_relative_imports_inside_sram_are_ignored(self, tmp_path):
         import check_imports

@@ -5,38 +5,24 @@ The batching layer's acceptance contract:
 * results of trace-grouped execution — serial and ``jobs=4`` — are
   bit-identical to per-job :func:`~repro.engine.jobs.execute_job`
   across modes × operating points × fault maps × transient specs;
-* swapping an inline trace for its store reference never changes a
-  job key, and worker dispatch ships refs (a few hundred bytes), not
-  pickled arrays;
+* inline traces travel to worker processes inside their job chunks
+  and come back bit-identical;
 * jobs differing only in operating point simulate *once* per cache
   (the batching layer's throughput lever) yet stay mutation-isolated;
-* disk-cached results round-trip through store-backed parallel runs.
+* disk-cached results round-trip through parallel runs over inline
+  traces.
 """
-
-import pickle
-
-import numpy as np
-import pytest
 
 from repro.engine.batch import (
     execute_group,
     group_by_trace,
-    open_store,
     partition_for_dispatch,
-    resolve_trace,
-    strip_traces,
 )
-from repro.engine.jobs import (
-    SimulationJob,
-    TraceSpec,
-    execute_job,
-    job_key,
-)
+from repro.engine.jobs import SimulationJob, TraceSpec, execute_job
 from repro.engine.session import SimulationSession
 from repro.faults.maps import CacheFaultMap, DieFaultMap
 from repro.tech.operating import Mode, OperatingPoint
 from repro.transients import TransientSpec
-from repro.workloads.store import StoredTraceRef, TraceStore
 
 TRACE = TraceSpec("adpcm_c", 3_000, 42)
 
@@ -189,23 +175,6 @@ class TestGrouping:
         ]
         assert group_by_trace(jobs) == [[0, 2], [1, 3]]
 
-    def test_store_ref_groups_with_its_inline_trace(
-        self, chips_a, small_trace, tmp_path
-    ):
-        """Tokens are content-based: a ref and the trace it points to
-        belong to the same group (and the same job key)."""
-        ref = TraceStore(tmp_path).put(small_trace)
-        jobs = [
-            SimulationJob(
-                chip=chips_a.proposed.config,
-                trace=trace,
-                mode=Mode.ULE,
-            )
-            for trace in (small_trace, ref)
-        ]
-        assert group_by_trace(jobs) == [[0, 1]]
-        assert job_key(jobs[0]) == job_key(jobs[1])
-
     def test_partition_serial_keeps_whole_groups(self, chips_a):
         jobs = [
             SimulationJob(
@@ -230,89 +199,39 @@ class TestGrouping:
         assert [i for chunk in chunks for i in chunk] == list(range(20))
 
 
-class TestStoreDispatch:
-    def test_stripping_replaces_arrays_with_refs(
-        self, chips_a, small_trace, tmp_path
+class TestInlineDispatch:
+    def test_parallel_inline_traces_match_per_job(
+        self, chips_a, small_trace
     ):
-        """The dispatch payload: stripped jobs pickle to a few KB of
-        config + ref where inline jobs pickle whole column arrays."""
-        job = SimulationJob(
-            chip=chips_a.proposed.config,
-            trace=small_trace,
-            mode=Mode.ULE,
-        )
-        store = TraceStore(tmp_path)
-        (stripped,) = strip_traces([job], store)
-        assert isinstance(stripped.trace, StoredTraceRef)
-        assert job_key(stripped) == job_key(job)
-        assert len(pickle.dumps(job)) > 100_000
-        assert len(pickle.dumps(stripped)) < 20_000
-        assert store.stats["puts"] == 1
-
-    def test_stripping_is_idempotent(
-        self, chips_a, small_trace, tmp_path
-    ):
-        job = SimulationJob(
-            chip=chips_a.proposed.config,
-            trace=small_trace,
-            mode=Mode.ULE,
-        )
-        store = TraceStore(tmp_path)
-        (first,) = strip_traces([job], store)
-        (second,) = strip_traces([job], store)
-        assert second.trace == first.trace
-        assert store.stats["puts"] == 1
-        assert store.stats["put_hits"] == 1
-
-    def test_spec_jobs_pass_through_untouched(self, chips_a, tmp_path):
-        job = SimulationJob(
-            chip=chips_a.proposed.config, trace=TRACE, mode=Mode.ULE
-        )
-        (stripped,) = strip_traces([job], TraceStore(tmp_path))
-        assert stripped is job
-
-    def test_refs_resolve_through_the_store_once(
-        self, small_trace, tmp_path
-    ):
-        """Workers open columns by digest — counted by the store —
-        and memoize the loaded trace for consecutive groups."""
-        store = open_store(tmp_path)
-        ref = store.put(small_trace)
-        before = store.stats["gets"]
-        resolved = resolve_trace(ref, store_root=tmp_path)
-        assert store.stats["gets"] == before + 1
-        np.testing.assert_array_equal(resolved.pc, small_trace.pc)
-        assert resolve_trace(ref, store_root=tmp_path) is resolved
-        assert store.stats["gets"] == before + 1
-
-    def test_parallel_inline_traces_run_through_store(
-        self, chips_a, small_trace, tmp_path
-    ):
-        """End to end: a parallel session over inline traces publishes
-        them to the store, dispatches refs, and stays bit-identical."""
+        """Inline traces ship pickled with their chunk of jobs: a
+        ``jobs=2`` session over them equals per-job execution."""
         jobs = [
             SimulationJob(
                 chip=chips_a.proposed.config,
                 trace=small_trace,
                 mode=mode,
+                operating_point=point,
             )
-            for mode in (Mode.ULE, Mode.HP)
+            for mode, point in (
+                (Mode.ULE, None),
+                (Mode.ULE, _ule_point(0.38)),
+                (Mode.HP, None),
+            )
         ]
         expected = [execute_job(job) for job in jobs]
-        with SimulationSession(jobs=2, trace_store=tmp_path) as session:
+        with SimulationSession(jobs=2) as session:
             got = session.run_jobs(jobs)
+            assert session.stats.executed == len(jobs)
         _assert_all_equal(expected, got)
-        assert small_trace.content_digest() in TraceStore(tmp_path)
 
 
 class TestDiskCacheRoundTrip:
     def test_store_backed_parallel_results_round_trip(
         self, chips_a, small_trace, tmp_path
     ):
-        """Results computed through the store-backed parallel path are
-        served bit-identically from the disk cache afterwards."""
+        """Results computed by a parallel session over an inline trace
+        are served bit-identically from the result store afterwards."""
         cache_dir = tmp_path / "cache"
-        store_root = tmp_path / "store"
         jobs = [
             SimulationJob(
                 chip=chips_a.proposed.config,
@@ -322,14 +241,10 @@ class TestDiskCacheRoundTrip:
             )
             for point in (None, _ule_point(0.38), _ule_point(0.42))
         ]
-        with SimulationSession(
-            jobs=2, cache_dir=cache_dir, trace_store=store_root
-        ) as session:
+        with SimulationSession(jobs=2, cache_dir=cache_dir) as session:
             first = session.run_jobs(jobs)
             assert session.stats.executed == len(jobs)
-        with SimulationSession(
-            jobs=2, cache_dir=cache_dir, trace_store=store_root
-        ) as session:
+        with SimulationSession(jobs=2, cache_dir=cache_dir) as session:
             second = session.run_jobs(jobs)
             assert session.stats.disk_hits == len(jobs)
             assert session.stats.executed == 0

@@ -113,9 +113,9 @@ class TestGracefulDegradation:
                     chip=config,
                     trace=TraceSpec("adpcm_c", 3_000, 42),
                     mode=Mode.ULE,
-                    backend=backend,
                     fault_map=fault_map,
-                )
+                ),
+                backend=backend,
             )
             for backend in ("vectorized", "reference")
         }

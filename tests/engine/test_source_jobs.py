@@ -1,21 +1,23 @@
-"""Engine seam for trace sources: normalization, dedup and dispatch.
+"""Jobs built from trace sources: keys, dedup and dispatch.
 
-:func:`~repro.engine.jobs.resolve_source` is the one crossing point
-between the workload layer and the engine — it duck-types
-``job_trace`` so the engine never imports the source module.  Pinned
-here: a source-carrying job gets the *same* key as the plain job it
-abstracts, and source jobs survive serial and parallel sessions with
-bit-identical results.
+A source hands the engine its :meth:`job_trace` — a
+:class:`~repro.workloads.mediabench.TraceSpec` or an inline trace —
+and the engine never sees the source itself.  Pinned here: a job
+built from a source gets the *same* key as the plain job it abstracts,
+the spec's token text survives its move into ``repro.workloads``, and
+source jobs survive serial and parallel sessions with bit-identical
+results.
 """
 
 import pytest
 
+import repro.workloads.mediabench as mediabench
 from repro.engine.jobs import (
     SimulationJob,
     TraceSpec,
+    _trace_token,
     execute_job,
     job_key,
-    resolve_source,
 )
 from repro.engine.session import SimulationSession
 from repro.tech.operating import Mode
@@ -35,22 +37,15 @@ def _mix():
     return source
 
 
-class TestResolveSource:
-    def test_plain_specs_pass_through_untouched(self):
-        spec = TraceSpec("adpcm_c", 2000, 2013)
-        assert resolve_source(spec) is spec
-
-    def test_synthetic_source_resolves_to_the_classic_spec(self):
-        assert resolve_source(_source()) == TraceSpec(
-            "adpcm_c", 2000, 2013
+class TestSourceJobKeys:
+    def test_trace_spec_token_is_pinned(self):
+        """Every synthetic job key hashes this text: moving the class
+        into ``repro.workloads`` must not change it."""
+        assert TraceSpec is mediabench.TraceSpec
+        assert _trace_token(TraceSpec("adpcm_c", 2000, 2013)) == (
+            "TraceSpec(benchmark='adpcm_c', length=2000, seed=2013)"
         )
 
-    def test_mix_source_resolves_to_its_trace(self):
-        mix = _mix()
-        assert resolve_source(mix) is mix.materialize()
-
-
-class TestSourceJobKeys:
     def test_source_job_key_equals_plain_spec_job_key(self, chips_a):
         """The dedup contract: a source job and the plain job it
         abstracts must land in one cache slot."""
@@ -61,7 +56,7 @@ class TestSourceJobKeys:
         )
         sourced = SimulationJob(
             chip=chips_a.proposed.config,
-            trace=_source(),
+            trace=_source().job_trace(),
             mode=Mode.ULE,
         )
         assert job_key(sourced) == job_key(plain)
@@ -71,7 +66,7 @@ class TestSourceJobKeys:
             job_key(
                 SimulationJob(
                     chip=chips_a.proposed.config,
-                    trace=_mix(),
+                    trace=_mix().job_trace(),
                     mode=Mode.ULE,
                 )
             )
@@ -84,9 +79,11 @@ class TestSourceSessionEquivalence:
     def _jobs(self, chips):
         return [
             SimulationJob(
-                chip=chips.proposed.config, trace=trace, mode=mode
+                chip=chips.proposed.config,
+                trace=source.job_trace(),
+                mode=mode,
             )
-            for trace in (_source(), _mix())
+            for source in (_source(), _mix())
             for mode in (Mode.ULE, Mode.HP)
         ]
 
@@ -99,13 +96,11 @@ class TestSourceSessionEquivalence:
             assert list(left.energy.items()) == list(right.energy.items())
             assert left.timing == right.timing
 
-    def test_parallel_matches_serial(self, chips_a, tmp_path):
+    def test_parallel_matches_serial(self, chips_a):
         jobs = self._jobs(chips_a)
         with SimulationSession() as session:
             serial = session.run_jobs(jobs)
-        with SimulationSession(
-            jobs=2, trace_store=tmp_path / "store"
-        ) as session:
+        with SimulationSession(jobs=2) as session:
             parallel = session.run_jobs(jobs)
         for left, right in zip(serial, parallel):
             assert list(left.energy.items()) == list(right.energy.items())

@@ -55,13 +55,12 @@ def _results_equal(left, right) -> bool:
     )
 
 
-def _job(chips, transients=None, mode=Mode.ULE, **kwargs):
+def _job(chips, transients=None, mode=Mode.ULE):
     return SimulationJob(
         chip=chips.proposed.config,
         trace=TraceSpec("adpcm_c", 3_000, 42),
         mode=mode,
         transients=transients,
-        **kwargs,
     )
 
 
@@ -187,13 +186,6 @@ class TestJobIdentity:
         c = job_key(_job(chips_b, transients=_spec(2)))
         assert a == b
         assert a != c
-
-    def test_backend_excluded_from_key(self, chips_b):
-        assert job_key(
-            _job(chips_b, transients=_spec(1), backend="reference")
-        ) == job_key(
-            _job(chips_b, transients=_spec(1), backend="vectorized")
-        )
 
 
 class TestSessionDeterminism:

@@ -868,6 +868,10 @@ class TestSweepSuite:
         ) == 0
         capsys.readouterr()
         assert serial.read_bytes() == parallel.read_bytes()
+        # Inline mix traces travel with their job chunks: the parallel
+        # run publishes no entry to the trace store.
+        entries = [p for p in trace_store_env.glob("*/*") if p.is_dir()]
+        assert entries == []
 
     def test_unknown_suite_rejected(self, capsys):
         assert main(

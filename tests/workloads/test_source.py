@@ -2,15 +2,13 @@
 
 The seam's acceptance contract in tests:
 
-* :class:`SyntheticSource` is *invisible* to the engine — its token is
-  the exact ``repr(TraceSpec(...))`` the pre-refactor pipeline keyed
+* :class:`SyntheticSource` is *invisible* to the engine — its job
+  trace is the exact ``TraceSpec`` the pre-refactor pipeline keyed
   caches on, and the generated arrays' digest is byte-pinned so a
   generator drift can never silently orphan a fleet's cached results;
 * :class:`MixSource` is a pure function of its components' content —
   any permutation of the same ratio-normalized components interleaves
-  into a byte-identical trace (hypothesis-checked);
-* every source's token equals the engine's trace token of the trace it
-  materializes, so sources and plain traces dedup into one job group.
+  into a byte-identical trace (hypothesis-checked).
 """
 
 import numpy as np
@@ -18,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.jobs import TraceSpec, _trace_token
 from repro.workloads.ingest import ingest_file
 from repro.workloads.mediabench import (
     BENCHMARKS,
+    TraceSpec,
     benchmark_by_name,
     generate_trace,
 )
@@ -50,11 +48,6 @@ def _synthetic(name: str, length: int = 400, seed: int = 7) -> SyntheticSource:
 
 
 class TestSyntheticSource:
-    def test_token_is_the_engine_trace_spec_repr(self):
-        source = SyntheticSource(benchmark_by_name("adpcm_c"), 2000, 2013)
-        spec = TraceSpec(benchmark="adpcm_c", length=2000, seed=2013)
-        assert source.token == repr(spec) == _trace_token(spec)
-
     def test_job_trace_is_the_classic_spec(self):
         source = SyntheticSource(benchmark_by_name("adpcm_c"), 2000, 2013)
         assert source.job_trace() == TraceSpec("adpcm_c", 2000, 2013)
@@ -95,10 +88,6 @@ class TestIngestedSource:
     def test_from_catalog_unknown_name_raises(self, store):
         with pytest.raises(KeyError, match="'nope' is not in the store"):
             IngestedSource.from_catalog("nope", store=store)
-
-    def test_token_matches_engine_token_of_materialized_trace(self, store):
-        source = IngestedSource.from_catalog("demo", store=store)
-        assert source.token == _trace_token(source.materialize())
 
     def test_job_trace_is_the_inline_trace(self, store):
         source = IngestedSource.from_catalog("demo", store=store)
@@ -160,10 +149,6 @@ class TestMixSourceInterleaving:
         # 50-instruction component feeding ~200 slots must wrap, not
         # truncate the mix.
         assert len(mix.materialize()) == 400
-
-    def test_token_matches_engine_token_of_materialized_trace(self):
-        mix = self._mix()
-        assert mix.token == _trace_token(mix.materialize())
 
     def test_job_trace_is_the_interleaved_trace(self):
         mix = self._mix()
@@ -233,7 +218,7 @@ class TestAsSources:
             (benchmark_by_name("adpcm_c"),), length=2000, seed=2013
         )
         assert isinstance(sources[0], SyntheticSource)
-        assert sources[0].token == repr(TraceSpec("adpcm_c", 2000, 2013))
+        assert sources[0].job_trace() == TraceSpec("adpcm_c", 2000, 2013)
 
     def test_mix_specs_become_mixes(self, tmp_path):
         store = TraceStore(tmp_path / "store")

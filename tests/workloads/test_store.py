@@ -1,9 +1,9 @@
-"""TraceStore: columnar, content-addressed, memory-mapped persistence.
+"""TraceStore: compressed, content-addressed trace persistence.
 
-The store's contract with the engine (see ``repro/workloads/store.py``):
-round-trips are exact, entries are content-addressed (name excluded),
-writes are idempotent and race-tolerant, and loads come back as
-read-only memory maps with the digest cache pre-seeded.
+The store's contract (see ``repro/workloads/store.py``): round-trips
+are exact, entries are content-addressed (name excluded), writes are
+idempotent and race-tolerant, and loads come back with the digest
+cache pre-seeded.
 """
 
 import os
@@ -15,10 +15,16 @@ import pytest
 
 from repro.workloads.store import (
     COLUMNS,
+    COMPRESSED_FILE,
     StoredTraceRef,
     TraceStore,
     default_store_root,
 )
+
+
+def _entry_dirs(root) -> list:
+    """The published entry directories under a store root."""
+    return [path for path in root.glob("*/*") if path.is_dir()]
 
 
 class TestRoundTrip:
@@ -38,23 +44,11 @@ class TestRoundTrip:
                 getattr(loaded, column), getattr(small_trace, column)
             )
 
-    def test_loaded_columns_are_read_only_mmaps(
-        self, small_trace, tmp_path
-    ):
-        """Entries are immutable: loads must not be able to scribble
-        on the shared store files."""
-        store = TraceStore(tmp_path)
-        loaded = store.get(store.put(small_trace))
-        for column in COLUMNS:
-            array = getattr(loaded, column)
-            assert isinstance(array, np.memmap)
-            assert not array.flags.writeable
-
     def test_digest_cache_seeded_without_rehash(
         self, small_trace, tmp_path
     ):
         """The store address *is* the digest — get() must not re-hash
-        megabytes of mmap'd columns on first access."""
+        megabytes of loaded columns on first access."""
         store = TraceStore(tmp_path)
         ref = store.put(small_trace)
         loaded = store.get(ref)
@@ -62,7 +56,7 @@ class TestRoundTrip:
         assert loaded.content_digest() == ref.digest
 
     def test_refs_pickle_small(self, small_trace, tmp_path):
-        """The dispatch payload a ref replaces arrays with."""
+        """A ref names a trace without carrying its arrays."""
         ref = TraceStore(tmp_path).put(small_trace)
         assert len(pickle.dumps(ref)) < 500
 
@@ -73,8 +67,7 @@ class TestContentAddressing:
         first = store.put(small_trace)
         second = store.put(small_trace)
         assert second == first
-        assert store.stats["puts"] == 1
-        assert store.stats["put_hits"] == 1
+        assert len(_entry_dirs(tmp_path)) == 1
 
     def test_renamed_equal_content_shares_entry(
         self, small_trace, tmp_path
@@ -86,8 +79,7 @@ class TestContentAddressing:
         twin_ref = store.put(replace(small_trace, name="twin"))
         assert twin_ref.digest == ref.digest
         assert twin_ref.name == "twin"
-        assert store.stats["puts"] == 1
-        assert store.stats["put_hits"] == 1
+        assert len(_entry_dirs(tmp_path)) == 1
 
     def test_contains_ref_and_digest(self, small_trace, tmp_path):
         store = TraceStore(tmp_path)
@@ -99,13 +91,17 @@ class TestContentAddressing:
         assert "0" * 64 not in store
 
     def test_partial_entry_is_not_contained(self, small_trace, tmp_path):
-        """A torn entry (one column missing) must read as absent, so
-        the next put repairs it instead of serving broken loads."""
+        """A torn entry (directory without its columns file) must read
+        as absent, so the next put repairs it instead of serving broken
+        loads."""
         store = TraceStore(tmp_path)
         ref = store.put(small_trace)
         entry = store._entry_dir(ref.digest)
-        (entry / "addr.npy").unlink()
+        (entry / COMPRESSED_FILE).unlink()
+        assert entry.is_dir()
         assert ref not in store
+        assert store.put(small_trace) == ref
+        assert ref in store
 
 
 class TestConcurrentWriters:
@@ -140,7 +136,7 @@ class TestConcurrentWriters:
 
         monkeypatch.setattr(os, "rename", contended_rename)
         assert loser.put(small_trace) == ref
-        assert loser.stats["put_hits"] == 1
+        assert _entry_dirs(tmp_path) == [entry]
 
     def test_publish_failure_without_winner_propagates(
         self, small_trace, tmp_path, monkeypatch

@@ -5,7 +5,9 @@ Each row of :data:`RULES` gates one module prefix and names the
 entries of the scanned package root (directories or top-level files)
 whose code may import it.  This gate walks ``src/repro`` with
 :mod:`ast` and fails on any ``import <prefix>...`` /
-``from <prefix>... import ...`` elsewhere:
+``from <prefix>... import ...`` elsewhere.  Relative imports
+(``from ..engine.jobs import ...``) are resolved against the importing
+file's package first; the scanned root is the ``repro`` package.
 
 * ``repro.sram`` — only ``repro/sram/`` itself and ``repro/cells/``
   (the compatibility shim re-exporting it).  The cell-technology API
@@ -14,6 +16,9 @@ whose code may import it.  This gate walks ``src/repro`` with
 * ``repro.service`` — only ``repro/service/`` itself and the CLI
   (``repro/__main__.py``).  The service sits on top of the engine, so
   nothing below it may depend on it (DESIGN.md §1).
+* ``repro.engine`` — only the layers above it in DESIGN.md §1, plus
+  ``repro/cpu/`` (see the row's comment).  In particular
+  ``repro.workloads`` sits below the engine and never imports it.
 
 Usage::
 
@@ -31,10 +36,19 @@ import ast
 import pathlib
 import sys
 
+#: The package the scanned root directory stands for.
+ROOT_PACKAGE = "repro"
+
 #: (gated module prefix, package-root entries allowed to import it).
 RULES = (
     ("repro.sram", ("sram", "cells")),
     ("repro.service", ("service", "__main__.py")),
+    # ``cpu`` is listed only because ``cpu/chip.py`` calls
+    # ``engine.backends.simulate_cache``.
+    ("repro.engine", (
+        "engine", "cpu", "core", "explore", "experiments", "faults",
+        "runtime", "service", "__main__.py",
+    )),
 )
 
 
@@ -43,8 +57,26 @@ def _gated(name: str, prefix: str) -> bool:
     return name == prefix or name.startswith(prefix + ".")
 
 
+def _absolute_module(
+    node: ast.ImportFrom, package: tuple[str, ...]
+) -> str:
+    """The module a ``from ... import`` names, relative ones resolved.
+
+    ``package`` is the importing file's package path (``("repro",
+    "workloads")`` for ``repro/workloads/source.py``); each leading dot
+    past the first climbs one level.
+    """
+    if node.level == 0:
+        return node.module or ""
+    base = package[: max(len(package) - node.level + 1, 0)]
+    return ".".join(base + ((node.module,) if node.module else ()))
+
+
 def _violations_in(
-    path: pathlib.Path, tree: ast.Module, prefix: str
+    path: pathlib.Path,
+    tree: ast.Module,
+    prefix: str,
+    package: tuple[str, ...],
 ) -> list[str]:
     """Offending import lines of one parsed module for one rule."""
     found = []
@@ -55,8 +87,8 @@ def _violations_in(
                     found.append(
                         f"{path}:{node.lineno}: import {alias.name}"
                     )
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            module = node.module or ""
+        elif isinstance(node, ast.ImportFrom):
+            module = _absolute_module(node, package)
             if _gated(module, prefix):
                 found.append(
                     f"{path}:{node.lineno}: from {module} import ..."
@@ -68,15 +100,16 @@ def check_package(root: pathlib.Path) -> list[str]:
     """All violations of :data:`RULES` under ``root``, sorted by file."""
     violations: list[str] = []
     for path in sorted(root.rglob("*.py")):
-        entry = path.relative_to(root).parts[0]
-        applicable = [rule for rule in RULES if entry not in rule[1]]
+        parts = path.relative_to(root).parts
+        applicable = [rule for rule in RULES if parts[0] not in rule[1]]
         if not applicable:
             continue
         tree = ast.parse(
             path.read_text(encoding="utf-8"), filename=str(path)
         )
+        package = (ROOT_PACKAGE,) + parts[:-1]
         for prefix, _allowed in applicable:
-            violations.extend(_violations_in(path, tree, prefix))
+            violations.extend(_violations_in(path, tree, prefix, package))
     return violations
 
 
