@@ -603,6 +603,11 @@ def _transient_spec(args: argparse.Namespace, seed: int):
     )
 
 
+#: The driver parameters ``run`` and ``all`` set from their flags
+#: (``--trace-length``, ``--seed``, ``--carbon``).
+_RUN_PARAMETERS = ("trace_length", "seed", "carbon")
+
+
 def _run_kwargs(
     args: argparse.Namespace,
     experiment_id: str,
@@ -619,7 +624,7 @@ def _run_kwargs(
     accepted = experiment_parameters(experiment_id)
     kwargs = {
         name: getattr(args, name, None)
-        for name in ("trace_length", "seed", "carbon")
+        for name in _RUN_PARAMETERS
         if name in accepted and getattr(args, name, None) is not None
     }
     if derive_child_seed and "seed" in kwargs:
@@ -737,7 +742,11 @@ def _cmd_list(args: argparse.Namespace) -> int:
     from repro.experiments.registry import experiment_parameters
 
     for experiment_id in list_experiments():
-        parameters = ", ".join(sorted(experiment_parameters(experiment_id)))
+        parameters = ", ".join(sorted(
+            experiment_parameters(experiment_id).intersection(
+                _RUN_PARAMETERS
+            )
+        ))
         print(f"{experiment_id:<20} ({parameters})")
     return 0
 

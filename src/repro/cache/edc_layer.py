@@ -1,13 +1,21 @@
 """Stored-word simulation through hard faults and the EDC codec.
 
 :class:`ProtectedArray` models one physical word array of a ULE way: every
-write encodes the value; every read passes the stored codeword through the
+write stores a codeword of the value; every read passes it through the
 die's stuck-at fault map (and optional soft-error flips) and decodes it.
 Against a shadow copy of the written values it classifies each read as
 clean / corrected / detected / **silent** (decoder claimed success but
 returned wrong data) — the last category must stay empty whenever the
 fault map respects the code's budget, which is what the reliability
 experiments verify against Eq. (1)-(2).
+
+Clean words skip the codec: a word with no stuck bit and no soft-error
+bit reads back its stored codeword, whose syndrome is zero, so the read
+is ``CLEAN`` with the written value — decided without encoding or
+decoding.  Codewords are encoded lazily, on the first read that passes
+a faulty or struck word through the decoder.  A die at the designed Pf
+has a handful of stuck bits, so the Monte Carlo decodes only the few
+words they touch; every counter is the same as decoding all of them.
 """
 
 from __future__ import annotations
@@ -64,7 +72,11 @@ class ProtectedArray:
                     f"array stores {self.stored_bits}"
                 )
         self.fault_map = fault_map
-        self._stored = [0] * words
+        self._fault_masks = (
+            fault_map.fault_masks if fault_map is not None else {}
+        )
+        #: Codeword per word; None until a read needs it (see read()).
+        self._stored: list[int | None] = [None] * words
         self._shadow = [0] * words
         self._written = [False] * words
         self.reads = 0
@@ -75,12 +87,11 @@ class ProtectedArray:
 
     # --------------------------------------------------------------- API
     def write(self, index: int, value: int) -> None:
-        """Encode and store ``value`` at ``index``."""
+        """Store ``value`` at ``index`` (encoded when first read)."""
         self._check_index(index)
         if value < 0 or value >> self.data_bits:
             raise ValueError(f"value does not fit in {self.data_bits} bits")
-        stored = self.code.encode(value) if self.code else value
-        self._stored[index] = stored
+        self._stored[index] = None
         self._shadow[index] = value
         self._written[index] = True
 
@@ -100,9 +111,6 @@ class ProtectedArray:
         self._check_index(index)
         if not self._written[index]:
             raise ValueError(f"word {index} read before written")
-        raw = self._stored[index]
-        if self.fault_map is not None:
-            raw = self.fault_map.apply(index, raw)
         if len(set(soft_error_bits)) != len(soft_error_bits):
             raise ValueError(
                 "duplicate soft-error bit positions: "
@@ -112,8 +120,23 @@ class ProtectedArray:
         for bit in soft_error_bits:
             if not 0 <= bit < self.stored_bits:
                 raise ValueError("soft-error bit out of range")
-            raw ^= 1 << bit
         self.reads += 1
+        if not soft_error_bits and index not in self._fault_masks:
+            # Clean word: the stored codeword reads back unchanged.
+            return WordReadRecord(
+                value=self._shadow[index],
+                status=DecodeStatus.CLEAN,
+                correct=True,
+            )
+        raw = self._stored[index]
+        if raw is None:
+            value = self._shadow[index]
+            raw = self.code.encode(value) if self.code else value
+            self._stored[index] = raw
+        if self.fault_map is not None:
+            raw = self.fault_map.apply(index, raw)
+        for bit in soft_error_bits:
+            raw ^= 1 << bit
         if self.code is None:
             value = raw
             status = DecodeStatus.CLEAN
@@ -159,10 +182,17 @@ class ProtectedArray:
         return self.fault_map.faults_in_word(index) <= hard_budget
 
     def usable(self, hard_budget: int) -> bool:
-        """Whether every word of the array fits the budget (die works)."""
-        return all(
-            self.word_is_usable(index, hard_budget)
-            for index in range(self.words)
+        """Whether every word of the array fits the budget (die works).
+
+        Fault-free words fit any non-negative budget, so only the
+        faulty words are counted.
+        """
+        if self.fault_map is None:
+            return True
+        return hard_budget >= 0 and all(
+            self.fault_map.faults_in_word(index) <= hard_budget
+            for index in self._fault_masks
+            if index < self.words
         )
 
     def exercise(self, rng: np.random.Generator, rounds: int = 1) -> None:
@@ -170,12 +200,16 @@ class ProtectedArray:
 
         Used by the Monte Carlo yield validation: after exercising, the
         ``silent_errors`` /  ``detected_reads`` counters tell whether this
-        die behaved as a yielding part.
+        die behaved as a yielding part.  One scalar draw per word, in
+        word order.  A clean word's read only counts (see :meth:`read`),
+        so only the words with stuck bits are read through the codec.
         """
+        faulty = [i for i in range(self.words) if i in self._fault_masks]
         for _ in range(rounds):
             for index in range(self.words):
                 self.write(index, int(rng.integers(0, 1 << self.data_bits)))
-            for index in range(self.words):
+            self.reads += self.words - len(faulty)
+            for index in faulty:
                 self.read(index)
 
     def _check_index(self, index: int) -> None:

@@ -36,6 +36,11 @@ from repro.tech.operating import Mode, OperatingPoint
 #: Residual leakage of a gated-Vdd way (Powell et al. report ~30x cuts).
 GATED_LEAKAGE_FRACTION = 0.03
 
+#: Operating points one model keeps priced.  A chip runs at a handful
+#: of points; a table that fills up starts over, so a long Vdd sweep
+#: on one chip holds at most this many.
+PRICE_TABLE_LIMIT = 64
+
 
 @dataclass(frozen=True)
 class AccessEnergy:
@@ -55,6 +60,28 @@ class AccessEnergy:
     def scaled(self, factor: float) -> "AccessEnergy":
         """Both components multiplied by ``factor``."""
         return AccessEnergy(self.array * factor, self.edc * factor)
+
+
+@dataclass(frozen=True)
+class CachePrices:
+    """Every operation energy of one cache at one operating point.
+
+    Attributes:
+        probe_read / probe_write: per-probe energies (J).
+        groups: per way group, in model order, ``(name, read-hit extra,
+            write hit, fill, writeback)`` energies (J).
+        leakage: static power (W).
+        refresh: retention refresh power (W).
+    """
+
+    probe_read: AccessEnergy
+    probe_write: AccessEnergy
+    groups: tuple[
+        tuple[str, AccessEnergy, AccessEnergy, AccessEnergy, AccessEnergy],
+        ...,
+    ]
+    leakage: AccessEnergy
+    refresh: float
 
 
 @lru_cache(maxsize=None)
@@ -271,6 +298,7 @@ class CacheEnergyModel:
             group.name: WayGroupArrays(config=config, group=group)
             for group in config.way_groups
         }
+        self._prices: dict[OperatingPoint, CachePrices] = {}
 
     def _active_groups(self, mode: Mode) -> list[WayGroupArrays]:
         return [
@@ -278,6 +306,37 @@ class CacheEnergyModel:
             for arrays in self.groups.values()
             if arrays.group.is_active(mode)
         ]
+
+    def prices(self, op: OperatingPoint) -> CachePrices:
+        """Every operation energy at ``op``, priced once per point.
+
+        The chip's energy ledger reads its prices here: jobs that
+        share a chip and an operating point (every benchmark of a
+        suite, both L1s' repeated probes) reprice nothing.  The table
+        is bounded by :data:`PRICE_TABLE_LIMIT`.
+        """
+        prices = self._prices.get(op)
+        if prices is None:
+            prices = CachePrices(
+                probe_read=self.probe_read_energy(op),
+                probe_write=self.probe_write_energy(op),
+                groups=tuple(
+                    (
+                        name,
+                        arrays.read_hit_extra(op),
+                        arrays.write_hit_energy(op),
+                        arrays.fill_energy(op),
+                        arrays.writeback_energy(op),
+                    )
+                    for name, arrays in self.groups.items()
+                ),
+                leakage=self.leakage_power(op),
+                refresh=self.refresh_power(op),
+            )
+            if len(self._prices) >= PRICE_TABLE_LIMIT:
+                self._prices.clear()
+            self._prices[op] = prices
+        return prices
 
     # ---------------------------------------------------------- operations
     def probe_read_energy(self, op: OperatingPoint) -> AccessEnergy:

@@ -276,14 +276,15 @@ class Chip:
                 ("il1", self.il1_model),
                 ("dl1", self.dl1_model),
             ):
-                leak = model.leakage_power(op)
+                prices = model.prices(op)
+                leak = prices.leakage
                 ledger.add(f"{label}.leakage", leak.array * seconds)
                 ledger.add(f"{label}.edc.leakage", leak.edc * seconds)
                 # Dynamic cell technologies pay retention refresh for as
                 # long as the run holds state.  The component is created
                 # only when nonzero, so all-SRAM ledgers stay
                 # byte-identical to the pre-refresh model.
-                refresh = model.refresh_power(op)
+                refresh = prices.refresh
                 if refresh > 0.0:
                     ledger.add(f"{label}.refresh", refresh * seconds)
 
@@ -329,23 +330,20 @@ class Chip:
         stats: CacheStats,
         op: OperatingPoint,
     ) -> None:
-        probe_read = model.probe_read_energy(op)
-        probe_write = model.probe_write_energy(op)
+        prices = model.prices(op)
+        probe_read = prices.probe_read
+        probe_write = prices.probe_write
         ledger.add(f"{label}.dynamic", stats.reads * probe_read.array)
         ledger.add(f"{label}.edc", stats.reads * probe_read.edc)
         ledger.add(f"{label}.dynamic", stats.writes * probe_write.array)
         ledger.add(f"{label}.edc", stats.writes * probe_write.edc)
 
-        for group_name in model.groups:
-            read_hits = stats.group_read_hits.get(group_name, 0)
-            write_hits = stats.group_write_hits.get(group_name, 0)
-            fills = stats.group_fills.get(group_name, 0)
-            writebacks = stats.group_writebacks.get(group_name, 0)
+        for group_name, read_hit, write_hit, fill, writeback in prices.groups:
             events = (
-                (read_hits, model.read_hit_extra_energy(group_name, op)),
-                (write_hits, model.write_hit_energy(group_name, op)),
-                (fills, model.fill_energy(group_name, op)),
-                (writebacks, model.writeback_energy(group_name, op)),
+                (stats.group_read_hits.get(group_name, 0), read_hit),
+                (stats.group_write_hits.get(group_name, 0), write_hit),
+                (stats.group_fills.get(group_name, 0), fill),
+                (stats.group_writebacks.get(group_name, 0), writeback),
             )
             for count, access in events:
                 if count:

@@ -8,9 +8,10 @@ Per job, the expensive work splits into
 * **trace-dependent precomputation** — decode, per-set sort, run
   collapse (:mod:`repro.engine.plan`) — identical for every job on the
   same stream and geometry;
-* **functional simulation** — identical for every job whose (config,
-  mode, fault map, transient behaviour) coincide, however much their
-  operating points (and therefore energy ledgers) differ;
+* **functional simulation** — identical for every job whose geometry,
+  powered ways, group names, fault map and transient behaviour
+  coincide, however much their operating points, bitcells and schemes
+  (and therefore energy ledgers) differ;
 * **reduction** — timing + energy accounting, cheap and per-job.
 
 This module exploits both redundancies without forking the execution
@@ -34,7 +35,6 @@ from repro.cpu.chip import RunResult
 from repro.engine import backends
 from repro.engine.jobs import SimulationJob, _trace_token, chip_for, trace_for
 from repro.engine.plan import build_stream_plan, geometry_key
-from repro.util.canonical import canonical_text
 from repro.util.profiling import phase
 
 
@@ -95,6 +95,27 @@ def partition_for_dispatch(
     return chunks
 
 
+def _functional_key(config, mode) -> tuple:
+    """What one functional simulation reads from a cache config.
+
+    The decode geometry, the mode's way mask and each way's group name
+    fix every counter the backends produce: bitcells, protection
+    schemes, supply and the configuration's name never change a hit or
+    a miss.  (Transient injection reads more of the config; the
+    sampler's :attr:`~repro.transients.sampling.TransientSampler.
+    content_token` covers that part.)
+    """
+    return (
+        geometry_key(config),
+        tuple(config.active_way_mask(mode)),
+        tuple(
+            group.name
+            for group in config.way_groups
+            for _way in range(group.ways)
+        ),
+    )
+
+
 class _SharedTraceContext:
     """Plan cache + functional-simulation memo for one trace group.
 
@@ -106,16 +127,20 @@ class _SharedTraceContext:
       (stream identity, geometry) and handed to every vectorized
       simulation of the group;
     * finished :class:`~repro.cache.stats.CacheStats` are memoized by
-      *content* key — config, mode, policy, seed, fault lines and the
-      transient sampler's :attr:`~repro.transients.sampling.
-      TransientSampler.content_token` — so jobs differing only in
-      energy terms (a Vdd sweep's operating points) simulate once.
-      Hits return cheap :meth:`~repro.cache.stats.CacheStats.clone`
-      copies (flat-counter rebuilds, not ``copy.deepcopy`` walks):
-      results stay mutation-isolated per job, exactly as if each had
-      simulated itself, and a memo hit costs microseconds — the
-      ``batch.memo`` phase under ``--profile`` makes that visible
-      next to ``batch.kernel``.
+      what the simulation reads — stream identity,
+      :func:`_functional_key` (geometry, the mode's way mask, per-way
+      group names), policy, seed, disabled lines and the transient
+      sampler's :attr:`~repro.transients.sampling.TransientSampler.
+      content_token` (which covers the config-derived inputs the
+      sampler reads) — so jobs differing only in energy terms (a Vdd
+      sweep's operating points, the ULE cell, scheme or supply of a
+      design-space sweep) simulate once.  Hits return cheap
+      :meth:`~repro.cache.stats.CacheStats.clone` copies (flat-counter
+      rebuilds, not ``copy.deepcopy`` walks): results stay
+      mutation-isolated per job, exactly as if each had simulated
+      itself, and a memo hit costs microseconds — the ``batch.memo``
+      phase under ``--profile`` makes that visible next to
+      ``batch.kernel``.
 
     Scoped to one group on purpose: nothing outlives the batch, so
     runtime model changes (monkeypatching in tests, hot reloads) can
@@ -125,24 +150,9 @@ class _SharedTraceContext:
     def __init__(self) -> None:
         self._plans: dict[tuple, object] = {}
         self._memo: dict[tuple, object] = {}
-        self._config_texts: dict[int, str] = {}
-        # Pin the objects behind the id()-based keys: a recycled id
-        # must not alias a dead stream's plan or config's text.
-        self._pins: list[object] = []
-
-    def _config_text(self, config) -> str:
-        """Per-context memo of ``canonical_text(config)``.
-
-        The canonical walk costs ~0.4 ms per cache config — charged
-        per *simulate call*, it would eat the batching win; charged per
-        distinct config object, it vanishes.
-        """
-        text = self._config_texts.get(id(config))
-        if text is None:
-            text = canonical_text(config)
-            self._config_texts[id(config)] = text
-            self._pins.append(config)
-        return text
+        # Pin the streams behind the id()-based keys: a recycled id
+        # must not alias a dead stream's plan or results.
+        self._pins: dict[tuple, object] = {}
 
     def simulate(
         self,
@@ -158,15 +168,18 @@ class _SharedTraceContext:
     ):
         """Drop-in for :func:`repro.engine.backends.simulate_cache`."""
         chosen = backends.resolve_backend(backend, policy)
+        stream = (
+            id(addresses),
+            id(is_write) if is_write is not None else None,
+        )
+        self._pins.setdefault(stream, (addresses, is_write))
         memo_key = None
         if isinstance(policy, str):
             # Policy *instances* may carry state; only named policies
             # are safely memoizable by content.
             memo_key = (
-                id(addresses),
-                id(is_write) if is_write is not None else None,
-                self._config_text(config),
-                repr(mode),
+                stream,
+                _functional_key(config, mode),
                 policy.lower(),
                 seed,
                 tuple(disabled_lines),
@@ -182,16 +195,11 @@ class _SharedTraceContext:
                     return _isolated(hit)
         plan = None
         if chosen == "vectorized" and len(addresses):
-            plan_key = (
-                id(addresses),
-                id(is_write) if is_write is not None else None,
-                geometry_key(config),
-            )
+            plan_key = (stream, geometry_key(config))
             plan = self._plans.get(plan_key)
             if plan is None:
                 plan = build_stream_plan(config, addresses, is_write)
                 self._plans[plan_key] = plan
-                self._pins.append((addresses, is_write))
         stats = backends.simulate_cache(
             config,
             mode,

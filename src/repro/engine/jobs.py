@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import pathlib
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -124,33 +125,45 @@ def _canonical(value) -> str:
     return canonical_text(value)
 
 
-#: Chip-token memo, keyed by config identity (configs are not hashable
-#: — protection schemes carry mappingproxies).  Sweeps hash hundreds of
-#: jobs over a handful of config objects, and the canonical walk over a
-#: full ChipConfig costs near a millisecond; the memo *pins* each config
-#: so a recycled id can never alias a dead object's token.
-_CHIP_TOKEN_MEMO: dict[int, tuple[ChipConfig, str]] = {}
-_CHIP_TOKEN_MEMO_LIMIT = 64
+#: Per-config-object hashing state, keyed by ``id(config)``: the
+#: sha256 state after the job key's ``version␟fingerprint␟chip-text␟``
+#: prefix, and the digest of the chip text alone (``chip_for``'s key).
+#: The canonical walk over a full ChipConfig costs near a millisecond
+#: and its text is ~9 KB, so each config object is walked once and its
+#: text is not kept.  An entry dies with its config (a weak-reference
+#: callback drops it), so a recycled id can never alias a dead
+#: object's entry and the memo needs no size limit.
+_CHIP_STATES: dict[int, tuple] = {}
 
 
-def _chip_token(config: ChipConfig) -> str:
-    """Canonical text for a chip configuration.
+def _chip_state(config: ChipConfig) -> tuple:
+    """(job-key prefix state, chip-text digest) of a configuration.
 
     The canonical walk recursively includes every numeric parameter of
     the cache geometry, bitcells, protection schemes and timing model,
     so it is a faithful — and invocation-stable — content description.
     Memoized by object identity: equal-but-distinct configs re-walk
-    (and produce the same token), repeated objects — the common case in
+    (and produce the same state), repeated objects — the common case in
     batched sweeps — pay once.
     """
-    cached = _CHIP_TOKEN_MEMO.get(id(config))
-    if cached is not None and cached[0] is config:
-        return cached[1]
-    token = _canonical(config)
-    while len(_CHIP_TOKEN_MEMO) >= _CHIP_TOKEN_MEMO_LIMIT:
-        _CHIP_TOKEN_MEMO.pop(next(iter(_CHIP_TOKEN_MEMO)))
-    _CHIP_TOKEN_MEMO[id(config)] = (config, token)
-    return token
+    key = id(config)
+    entry = _CHIP_STATES.get(key)
+    if entry is not None and entry[0]() is config:
+        return entry[1], entry[2]
+    text = _canonical(config).encode("utf-8")
+    prefix = hashlib.sha256(
+        f"engine-cache-v{ENGINE_CACHE_VERSION}\x1f"
+        f"{_code_fingerprint()}\x1f".encode("utf-8")
+    )
+    prefix.update(text)
+    prefix.update(b"\x1f")
+    digest = hashlib.sha256(text).hexdigest()
+    _CHIP_STATES[key] = (
+        weakref.ref(config, lambda _ref: _CHIP_STATES.pop(key, None)),
+        prefix,
+        digest,
+    )
+    return prefix, digest
 
 
 def _fault_map_token(fault_map: DieFaultMap | None) -> str:
@@ -177,12 +190,16 @@ def _transient_token(spec: TransientSpec | None) -> str:
 
 
 def job_key(job: SimulationJob) -> str:
-    """Content hash identifying a job's result (backend-independent)."""
-    text = "\x1f".join(
+    """Content hash identifying a job's result (backend-independent).
+
+    The sha256 of the ``\\x1f``-joined tokens: cache version, code
+    fingerprint, chip, trace, mode, operating point, fault map and
+    transient spec.  The hash continues from the chip's memoized prefix
+    state, so a config shared by many jobs is walked once.
+    """
+    prefix, _digest = _chip_state(job.chip)
+    rest = "\x1f".join(
         (
-            f"engine-cache-v{ENGINE_CACHE_VERSION}",
-            _code_fingerprint(),
-            _chip_token(job.chip),
             _trace_token(job.trace),
             repr(job.mode),
             _canonical(job.operating_point),
@@ -190,23 +207,30 @@ def job_key(job: SimulationJob) -> str:
             _transient_token(job.transients),
         )
     )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    digest = prefix.copy()
+    digest.update(rest.encode("utf-8"))
+    return digest.hexdigest()
 
 
 # --------------------------------------------------------------- workers
 #: Per-process memos: identical jobs in one batch share chip construction
-#: and trace generation, whichever process they land in.  The trace memo
-#: is bounded (traces are megabytes; sweeps over lengths/seeds must not
-#: pin every generated trace for the process lifetime) with FIFO
-#: eviction — batches reuse traces generated moments before.
+#: and trace generation, whichever process they land in.  Chips are
+#: keyed by chip-text digest.  The trace memo is bounded (traces are
+#: megabytes; sweeps over lengths/seeds must not pin every generated
+#: trace for the process lifetime) with FIFO eviction — batches reuse
+#: traces generated moments before.
 _CHIP_MEMO: dict[str, Chip] = {}
 _TRACE_MEMO: dict[TraceSpec, Trace] = {}
 _TRACE_MEMO_LIMIT = 32
 
 
 def chip_for(config: ChipConfig) -> Chip:
-    """Build (and memoize per process) the chip of a configuration."""
-    key = _chip_token(config)
+    """Build (and memoize per process) the chip of a configuration.
+
+    Keyed by the digest of the chip's canonical text, so equal configs
+    share one :class:`Chip` (and its energy price tables).
+    """
+    _prefix, key = _chip_state(config)
     chip = _CHIP_MEMO.get(key)
     if chip is None:
         chip = Chip(config)

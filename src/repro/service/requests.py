@@ -30,6 +30,14 @@ SCENARIOS = ("A", "B")
 CHIPS = ("proposed", "baseline")
 MODES = {"hp": Mode.HP, "ule": Mode.ULE}
 
+#: Largest admitted ``vdd`` override, as a multiple of the technology
+#: node's nominal supply (:attr:`repro.tech.node.TechnologyNode.
+#: vdd_nominal`, 1.0 V for ``ptm32``).  The device models are
+#: calibrated up to nominal; far above it they leave any physical
+#: regime (at 50 V the EPI reaches 1e83 J, at 1 kV the leakage model
+#: overflows), so a request beyond 1.5x nominal is rejected.
+VDD_MARGIN = 1.5
+
 
 class RequestError(ValueError):
     """A request that cannot be resolved to a simulation job."""
@@ -75,8 +83,8 @@ class JobRequest:
             raise RequestError("trace_length must be a positive integer")
         if not isinstance(self.seed, int):
             raise RequestError("seed must be an integer")
-        if self.vdd is not None and not self.vdd > 0:
-            raise RequestError("vdd override must be positive")
+        if self.vdd is not None:
+            _check_vdd(self.vdd)
 
     def digest(self) -> str:
         """Invocation-stable content digest of the request."""
@@ -101,6 +109,20 @@ class JobRequest:
             return cls(**payload)
         except TypeError as error:
             raise RequestError(str(error)) from None
+
+
+def _check_vdd(vdd: float) -> None:
+    """Reject a ``vdd`` override that is not a finite supply in range."""
+    from repro.tech.node import ptm32
+
+    if not vdd > 0:
+        raise RequestError(f"vdd override must be positive, got {vdd!r}")
+    limit = ptm32().vdd_nominal * VDD_MARGIN
+    if not vdd <= limit:
+        raise RequestError(
+            f"vdd override {vdd!r} V is above the {limit:g} V maximum "
+            f"({VDD_MARGIN:g}x the node's nominal supply)"
+        )
 
 
 @lru_cache(maxsize=4)

@@ -213,12 +213,14 @@ class TransientSampler:
         """Canonical text identifying this sampler's entire behaviour.
 
         Two samplers with equal tokens classify every (way, set, word,
-        interval) coordinate identically: the spec fixes the physics
-        and budgets, ``mode``/``vdd`` fix the way parameters and upset
-        rate, ``accesses_per_interval`` fixes interval indexing, and
-        ``seed`` fixes the counter streams.  The config is *not*
-        folded in directly because batched callers key on it
-        separately (see :mod:`repro.engine.batch`).
+        interval) coordinate identically and attribute it to the same
+        group: the spec fixes the physics and budgets, ``mode``/``vdd``
+        fix the upset rate, ``accesses_per_interval`` fixes interval
+        indexing and ``seed`` the counter streams.  The config-derived
+        inputs are folded in too — each way's group, exposed word bits
+        and budgets (None when gated), and the line and word widths
+        that map addresses to words — so batched callers
+        (:mod:`repro.engine.batch`) need not key on the config.
         """
         from repro.util.canonical import canonical_text
 
@@ -229,6 +231,17 @@ class TransientSampler:
                 self.vdd,
                 self.accesses_per_interval,
                 self.seed,
+                self.config.line_bytes,
+                self.config.data_word_bits,
+                [
+                    None if params is None else (
+                        params.group,
+                        params.word_bits,
+                        params.correctable,
+                        params.detectable,
+                    )
+                    for params in self._ways
+                ],
             )
         )
 

@@ -21,6 +21,28 @@ import json
 from typing import Any, Mapping
 
 
+#: Exact leaf types, returned as they are.  Subclasses (a ``str``
+#: mixin enum, ``numpy.float64``) take the general checks below.
+_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+#: Per-class dataclass field names (None: not a dataclass).  Looked up
+#: by exact type, so the walk pays ``dataclasses.fields`` once per class.
+_FIELD_NAMES: dict[type, tuple[str, ...] | None] = {}
+
+
+def _field_names(kind: type) -> tuple[str, ...] | None:
+    try:
+        return _FIELD_NAMES[kind]
+    except KeyError:
+        names = (
+            tuple(field.name for field in dataclasses.fields(kind))
+            if dataclasses.is_dataclass(kind)
+            else None
+        )
+        _FIELD_NAMES[kind] = names
+        return names
+
+
 def canonical_form(value: Any) -> Any:
     """A JSON-able canonical structure describing ``value``.
 
@@ -29,13 +51,19 @@ def canonical_form(value: Any) -> Any:
     canonical text; mappings are keyed by canonical text of the key.
     Unknown leaf types fall back to ``repr``.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        form: dict[str, Any] = {"__class__": type(value).__name__}
-        for field in dataclasses.fields(value):
-            form[field.name] = canonical_form(getattr(value, field.name))
+    kind = type(value)
+    if kind in _LEAVES:
+        return value
+    if kind is tuple or kind is list:
+        return [canonical_form(item) for item in value]
+    names = _field_names(kind)
+    if names is not None:
+        form: dict[str, Any] = {"__class__": kind.__name__}
+        for name in names:
+            form[name] = canonical_form(getattr(value, name))
         return form
     if isinstance(value, enum.Enum):
-        return f"{type(value).__name__}.{value.name}"
+        return f"{kind.__name__}.{value.name}"
     if isinstance(value, (frozenset, set)):
         return sorted((canonical_form(item) for item in value),
                       key=_sort_key)

@@ -223,3 +223,103 @@ class TestDuplicateSoftErrorBits:
         array.write(0, 9)
         record = array.read(0, soft_error_bits=(1, 5))
         assert record.correct
+
+
+def _counting_codec(monkeypatch, array):
+    """Count ``array.code``'s encode and decode calls."""
+    calls = {"encode": 0, "decode": 0}
+    for name in calls:
+        real = getattr(array.code, name)
+
+        def counting(word, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(word)
+
+        monkeypatch.setattr(array.code, name, counting)
+    return calls
+
+
+def _counters(array):
+    return (
+        array.reads,
+        array.corrected_reads,
+        array.detected_reads,
+        array.miscorrections,
+        array.undetected_errors,
+    )
+
+
+class TestCleanWordsSkipTheCodec:
+    """A word with no stuck bit and no soft-error bit reads back its
+    stored codeword: CLEAN with the written value, without a decode."""
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [ProtectionScheme.PARITY, ProtectionScheme.SECDED,
+         ProtectionScheme.DECTED],
+    )
+    def test_fault_free_exercise_never_decodes(self, monkeypatch, scheme):
+        stored_bits = ProtectedArray(64, 32, scheme).stored_bits
+        fmap = generate_fault_map(
+            0.0, 64, stored_bits, np.random.default_rng(1)
+        )
+        array = ProtectedArray(64, 32, scheme, fault_map=fmap)
+        calls = _counting_codec(monkeypatch, array)
+        array.exercise(np.random.default_rng(3), rounds=2)
+        assert calls == {"encode": 0, "decode": 0}
+        assert _counters(array) == (128, 0, 0, 0, 0)
+
+    def test_clean_word_with_soft_bits_still_decodes(self, monkeypatch):
+        array = ProtectedArray(8, 32, ProtectionScheme.SECDED)
+        calls = _counting_codec(monkeypatch, array)
+        array.write(5, 0xCAFE)
+        record = array.read(5, soft_error_bits=(9,))
+        assert calls == {"encode": 1, "decode": 1}
+        assert record.status is DecodeStatus.CORRECTED
+        assert record.correct and record.value == 0xCAFE
+        assert _counters(array) == (1, 1, 0, 0, 0)
+        # The codeword is encoded once and kept until the next write.
+        array.read(5, soft_error_bits=(9, 20))
+        assert calls == {"encode": 1, "decode": 2}
+        assert array.detected_reads == 1
+        array.write(5, 7)
+        array.read(5, soft_error_bits=(1,))
+        assert calls == {"encode": 2, "decode": 3}
+
+    def test_only_faulty_words_decode(self, monkeypatch):
+        fmap = _single_fault_map(39, word=3, bit=10)
+        array = ProtectedArray(
+            8, 32, ProtectionScheme.SECDED, fault_map=fmap
+        )
+        calls = _counting_codec(monkeypatch, array)
+        array.exercise(np.random.default_rng(11), rounds=4)
+        assert calls == {"encode": 4, "decode": 4}
+        assert array.reads == 32
+
+
+class TestFaultyDieCounters:
+    """Counters of densely faulty dies, pinned from the decode-every-
+    word implementation: skipping clean words changes none of them."""
+
+    #: scheme -> (faulty words, reads, corrected, detected,
+    #: miscorrections, undetected, usable(1), usable(2)).
+    PINNED = {
+        ProtectionScheme.NONE: (44, 192, 0, 0, 0, 78, False, False),
+        ProtectionScheme.PARITY: (45, 192, 0, 61, 0, 15, False, False),
+        ProtectionScheme.SECDED: (46, 192, 66, 21, 2, 0, False, False),
+        ProtectionScheme.DECTED: (52, 192, 94, 5, 0, 0, False, False),
+    }
+
+    @pytest.mark.parametrize("scheme", list(PINNED))
+    def test_counters_match_pins(self, scheme):
+        rng = np.random.default_rng(2013)
+        bare = ProtectedArray(64, 32, scheme)
+        fmap = generate_fault_map(0.03, 64, bare.stored_bits, rng)
+        array = ProtectedArray(64, 32, scheme, fault_map=fmap)
+        array.exercise(rng, rounds=3)
+        assert (
+            len(fmap.fault_masks),
+            *_counters(array),
+            array.usable(1),
+            array.usable(2),
+        ) == self.PINNED[scheme]

@@ -20,8 +20,40 @@ from repro.engine.session import SimulationSession
 from repro.engine.store import ShardedResultStore
 from repro.service.api import serve_in_thread
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.requests import resolve
+from repro.service.requests import (
+    VDD_MARGIN,
+    JobRequest,
+    RequestError,
+    resolve,
+)
 from repro.service.scheduler import ServiceScheduler
+
+
+class TestVddBound:
+    """The Vdd override admits (0, VDD_MARGIN x nominal] volts only."""
+
+    def test_limit_derives_from_the_node(self):
+        from repro.tech.node import ptm32
+
+        limit = ptm32().vdd_nominal * VDD_MARGIN
+        JobRequest("adpcm_c", 10, 0, mode="hp", vdd=limit)
+        with pytest.raises(RequestError, match="vdd"):
+            JobRequest("adpcm_c", 10, 0, mode="hp", vdd=limit * 1.001)
+
+    @pytest.mark.parametrize(
+        "vdd", [1000.0, 50.0, float("inf"), float("nan"), 0.0, -1.0]
+    )
+    def test_rejected_values_name_vdd(self, vdd):
+        with pytest.raises(RequestError, match="vdd"):
+            JobRequest.from_dict(
+                {"benchmark": "adpcm_c", "trace_length": 10, "seed": 0,
+                 "vdd": vdd}
+            )
+
+    @pytest.mark.parametrize("vdd", [0.2, 0.35, 1.0, 1.1])
+    def test_in_range_overrides_resolve(self, vdd):
+        job = resolve(JobRequest("adpcm_c", 10, 0, mode="hp", vdd=vdd))
+        assert job.operating_point.vdd == vdd
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +120,25 @@ class TestEndpoints:
             status, payload = client._request("POST", "/v1/submit", body)
             assert status == 400
             assert payload["error"] == "bad_request"
+
+    @pytest.mark.parametrize(
+        "vdd", [1000.0, 50.0, 1.6, float("inf"), float("nan"), 0.0, -0.3]
+    )
+    def test_out_of_range_vdd_is_400_naming_vdd(self, live_service, vdd):
+        """A Vdd far above nominal used to be admitted: 1 kV overflowed
+        the leakage model and retried to ``failed``, 50 V "succeeded"
+        with an EPI of 1e83 J."""
+        handle, _ = live_service
+        client = client_for(handle, "probe")
+        body = {
+            "tenant": "probe",
+            "requests": [{"benchmark": "adpcm_c", "trace_length": 10,
+                          "seed": 0, "mode": "hp", "vdd": vdd}],
+        }
+        status, payload = client._request("POST", "/v1/submit", body)
+        assert status == 400
+        assert payload["error"] == "bad_request"
+        assert "vdd" in payload["detail"]
 
     def test_unknown_job_is_404(self, live_service):
         handle, _ = live_service

@@ -24,14 +24,18 @@ class TestList:
         assert "sweep-policy" in out
 
     def test_lists_accepted_parameters(self, capsys):
+        """Only the parameters ``run`` can set: those its flags
+        forward (``--trace-length``, ``--seed``, ``--carbon``) and the
+        driver accepts — never a driver-only name like ``dies``."""
         assert main(["list"]) == 0
         lines = capsys.readouterr().out.splitlines()
         by_id = {line.split()[0]: line for line in lines if line}
-        assert "trace_length" in by_id["fig3"]
-        assert "seed" in by_id["fig3"]
-        assert "samples" in by_id["sweep-space"]
-        assert "policies" in by_id["sweep-policy"]
-        assert "budget_mj" in by_id["sweep-policy"]
+        assert by_id["fig3"].split(None, 1)[1] == "(seed, trace_length)"
+        assert by_id["tab-reliability"].split(None, 1)[1] == "(seed)"
+        assert by_id["tab-area"].split(None, 1)[1] == "()"
+        assert "carbon" in by_id["sustain"]
+        for driver_only in ("samples", "policies", "budget_mj", "dies"):
+            assert all(driver_only not in line for line in lines)
 
 
 class TestDesign:
@@ -446,10 +450,14 @@ class TestPopulation:
             main(self.FAST + ["--percentiles", ","])
 
     def test_population_experiment_registered(self, capsys):
+        """Listed with what ``run population`` can set; ``--dies``
+        belongs to the ``population`` command, not to ``run``."""
         assert main(["list"]) == 0
         lines = capsys.readouterr().out.splitlines()
         by_id = {line.split()[0]: line for line in lines if line}
-        assert "dies" in by_id["population"]
+        assert by_id["population"].split(None, 1)[1] == (
+            "(seed, trace_length)"
+        )
 
     def test_sweep_dies_flag_ranks_by_p95(self, tmp_path, capsys):
         import json
