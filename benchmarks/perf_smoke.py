@@ -11,10 +11,13 @@ the surrogate campaign must recover at least
 hypervolume while submitting at most ``MAX_SURROGATE_JOBS_RATIO`` of
 its jobs, bit-identically between serial and ``jobs=4`` sessions.
 
-* **fig3 single-evaluation** — one fig3-style evaluation (scenario A at
-  HP mode — the heaviest per-access workload: BigBench on all eight
-  ways) on the vectorized vs the reference backend, checked to agree
-  bit-for-bit (``speedup``).
+* **fig3 single-evaluation** — the 12 (chip, benchmark) jobs of one
+  fig3-style evaluation (scenario A at HP mode — the heaviest
+  per-access workload: BigBench on all eight ways), each run alone
+  through ``execute_job`` on the vectorized vs the reference backend,
+  checked to render the same evaluation (``speedup``).  No session
+  runs them, so no job shares a simulation with another and the ratio
+  compares the two backends on the same work.
 * **design-space sweep** — ``SWEEP_CANDIDATES`` ULE operating points
   evaluated over the shared ULE traces on one chip config, the shape
   the paper's Vdd/EDC design-space exploration submits.  The
@@ -54,11 +57,18 @@ import pathlib
 import sys
 import time
 
-from repro.core.evaluation import cached_chips, evaluate_scenario
+from repro.core.calibration import DEFAULT_SEED
+from repro.core.evaluation import (
+    BenchmarkComparison,
+    ScenarioEvaluation,
+    cached_chips,
+    cached_design,
+)
 from repro.core.scenarios import Scenario
 from repro.engine.jobs import SimulationJob, TraceSpec, execute_job
-from repro.engine.session import SimulationSession, use_session
+from repro.engine.session import SimulationSession
 from repro.tech.operating import Mode, OperatingPoint
+from repro.workloads.suites import suite_for_mode
 
 #: Floor on the end-to-end evaluation speedup (observed ~20x).
 MIN_SPEEDUP = 5.0
@@ -117,14 +127,41 @@ SURROGATE_RESULT_PATH = RESULT_PATH.parent / "BENCH_surrogate.json"
 
 def _timed_evaluation(
     backend: str, trace_length: int
-) -> tuple[float, object]:
-    """Wall-clock one fig3 evaluation under a fresh session."""
-    with use_session(SimulationSession(backend=backend)):
-        start = time.perf_counter()
-        evaluation = evaluate_scenario(
-            Scenario.A, Mode.HP, trace_length=trace_length
+) -> tuple[float, ScenarioEvaluation]:
+    """Wall-clock the jobs of one fig3 evaluation, one at a time.
+
+    Returns the seconds spent in ``execute_job`` and the evaluation its
+    results make.  Traces are generated (and memoized per process)
+    inside the first timed run.
+    """
+    benchmarks = suite_for_mode(Mode.HP)
+    chips = cached_chips(Scenario.A).pair()
+    jobs = [
+        SimulationJob(
+            chip=chip.config,
+            trace=TraceSpec(spec.name, trace_length, DEFAULT_SEED),
+            mode=Mode.HP,
         )
-        return time.perf_counter() - start, evaluation
+        for spec in benchmarks
+        for chip in chips
+    ]
+    start = time.perf_counter()
+    results = [execute_job(job, backend=backend) for job in jobs]
+    seconds = time.perf_counter() - start
+    rows = tuple(
+        BenchmarkComparison(
+            benchmark=spec.name,
+            baseline=results[2 * position],
+            proposed=results[2 * position + 1],
+        )
+        for position, spec in enumerate(benchmarks)
+    )
+    return seconds, ScenarioEvaluation(
+        scenario=Scenario.A,
+        mode=Mode.HP,
+        design=cached_design(Scenario.A),
+        rows=rows,
+    )
 
 
 def _run_results_equal(left, right) -> bool:
@@ -513,7 +550,10 @@ def main(argv: list[str] | None = None) -> int:
 
     speedup = reference_seconds / vectorized_seconds
     record = {
-        "experiment": "fig3 evaluation (scenario A, HP, BigBench)",
+        "experiment": (
+            "fig3 evaluation jobs, one at a time (scenario A, HP, "
+            "BigBench)"
+        ),
         "trace_length": args.trace_length,
         "benchmarks": len(reference.rows),
         "reference_seconds": round(reference_seconds, 4),

@@ -3,7 +3,8 @@
     "Efficient Cache Architectures for Reliable Hybrid Voltage Operation
      Using EDC Codes"
 
-The package is organised bottom-up:
+The package is organised bottom-up (the full layer list is DESIGN.md
+section 1):
 
 * :mod:`repro.tech` — 32 nm technology substrate (device model, variation).
 * :mod:`repro.sram` — 6T / 8T / 10T bitcell models, failure probability and
@@ -12,21 +13,22 @@ The package is organised bottom-up:
   gate-level codec energy/delay model.
 * :mod:`repro.reliability` — the paper's yield equations (Eq. 1-2), fault
   maps and soft-error models.
-* :mod:`repro.cacti` — CACTI-like cache array energy / area / timing model.
 * :mod:`repro.cache` — functional set-associative / hybrid cache simulator.
-* :mod:`repro.cpu` — trace-driven in-order chip simulator with an energy
-  ledger (MPSim + Wattch substitute).
-* :mod:`repro.engine` — batched vectorized simulation engine and the
-  parallel/memoizing job session (see DESIGN.md section 5).
-* :mod:`repro.workloads` — synthetic MediaBench-like trace generators.
-* :mod:`repro.core` — the paper's contribution: scenarios A/B, the Fig. 2
-  design methodology, and the EPI evaluation pipeline.
-* :mod:`repro.faults` — die-population fault injection: content-addressed
-  per-die disabled-line maps, seeded sampling from the variation models,
-  and population studies batched through the engine (docs/faults.md).
+* :mod:`repro.cacti` — CACTI-like cache array energy / area / timing model.
 * :mod:`repro.transients` — trace-driven soft-error injection: counter-
   based upset sampling, decoder classification (corrected / refetch /
   DUE / SDC) and recovery-cost accounting (docs/transients.md).
+* :mod:`repro.cpu` — trace-driven in-order chip simulator with an energy
+  ledger (MPSim + Wattch substitute).
+* :mod:`repro.workloads` — synthetic MediaBench-like trace generators.
+* :mod:`repro.engine` — batched vectorized simulation engine and the
+  parallel/memoizing job session (see DESIGN.md section 5).
+* :mod:`repro.core` — the paper's contribution: scenarios A/B, the Fig. 2
+  design methodology, and the EPI evaluation pipeline.
+* :mod:`repro.faults` — die-population fault injection: content-addressed
+  per-die disabled-line maps (below the cache), seeded sampling from the
+  variation models (above cacti), and population studies batched
+  through the engine (above core; docs/faults.md).
 * :mod:`repro.explore` — declarative design-space exploration: sweep
   spaces, candidate chips, Pareto/sensitivity reductions (DESIGN.md
   section 7).

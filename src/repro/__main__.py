@@ -782,7 +782,7 @@ def _cmd_run(args: argparse.Namespace, session) -> int:
 
 @_simulating
 def _cmd_all(args: argparse.Namespace, session) -> int:
-    from repro.experiments import list_experiments
+    from repro.experiments.registry import list_experiments, run_experiments
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -794,7 +794,8 @@ def _cmd_all(args: argparse.Namespace, session) -> int:
     experiment_ids = list_experiments()
     # Reports are written as each experiment completes, so a late
     # failure or interrupt keeps the finished work.
-    session.run_experiments(
+    run_experiments(
+        session,
         experiment_ids,
         {
             experiment_id: _run_kwargs(

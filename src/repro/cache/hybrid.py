@@ -9,9 +9,12 @@ re-enables the HP ways empty.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cache.config import CacheConfig
 from repro.cache.replacement import ReplacementPolicy
 from repro.cache.setassoc import AccessResult, SetAssociativeCache
+from repro.cache.stats import CacheStats
 from repro.tech.operating import Mode
 
 
@@ -85,3 +88,36 @@ class HybridCache:
     def active_ways(self) -> list[int]:
         """Powered way indices in the current mode."""
         return self.core.active_ways
+
+
+def simulate_reference(
+    config: CacheConfig,
+    mode: Mode,
+    addresses: np.ndarray,
+    is_write: np.ndarray | None = None,
+    policy: str | ReplacementPolicy = "lru",
+    seed: int = 0,
+    disabled_lines: tuple[tuple[int, int], ...] = (),
+    transients=None,
+) -> CacheStats:
+    """Stream ``addresses`` through a fresh cache in ``mode``.
+
+    The behavioural per-access loop (any replacement policy): the
+    default simulator of :meth:`repro.cpu.chip.Chip.run` and the
+    engine's ``"reference"`` backend.  ``is_write`` None = all reads.
+    """
+    cache = HybridCache(
+        config,
+        policy=policy,
+        mode=mode,
+        seed=seed,
+        disabled_lines=disabled_lines,
+        transients=transients,
+    )
+    if is_write is None:
+        for address in addresses:
+            cache.access(int(address), is_write=False)
+    else:
+        for address, write in zip(addresses, is_write):
+            cache.access(int(address), is_write=bool(write))
+    return cache.stats

@@ -9,14 +9,10 @@ masks ways in and out as the operating mode changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.cache.config import CacheConfig, validate_disabled_lines
 from repro.cache.replacement import ReplacementPolicy, make_policy
-from repro.cache.stats import CacheStats
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
-    from repro.transients.sampling import TransientSampler
+from repro.cache.stats import CacheStats, TransientOutcome
 
 
 @dataclass(frozen=True)
@@ -54,12 +50,15 @@ class SetAssociativeCache:
             never hold a line (their way-disable fuse is blown).  A set
             whose every powered way is disabled degrades gracefully:
             accesses miss and bypass to memory (no crash, no fill).
-        transients: optional soft-error sampler (:class:`repro.
-            transients.sampling.TransientSampler`).  Every *read hit*
-            observes the upset draw of its stored word in its scrub
-            interval and is classified into the transient counters of
-            :class:`~repro.cache.stats.CacheStats` — bit-identically
-            to the vectorized backend, which shares the sampler.
+        transients: optional soft-error sampler: an object whose
+            ``observe_read_hit(way, set_index, address, access_index,
+            dirty)`` returns a :class:`~repro.cache.stats.
+            TransientOutcome` or None (the transients layer's
+            ``TransientSampler``).  Every *read hit* observes the
+            upset draw of its stored word in its scrub interval and is
+            classified into the transient counters of
+            :class:`~repro.cache.stats.CacheStats` — bit-identically to
+            the vectorized backend, which shares the sampler.
     """
 
     def __init__(
@@ -68,7 +67,7 @@ class SetAssociativeCache:
         policy: str | ReplacementPolicy = "lru",
         seed: int = 0,
         disabled_lines: tuple[tuple[int, int], ...] = (),
-        transients: "TransientSampler | None" = None,
+        transients=None,
     ):
         self.config = config
         if isinstance(policy, str):
@@ -196,8 +195,6 @@ class SetAssociativeCache:
         dirty: bool,
     ) -> None:
         """Classify one read hit through the soft-error sampler."""
-        from repro.transients.sampling import TransientOutcome
-
         outcome = self._transients.observe_read_hit(
             way, index, address, position, dirty
         )

@@ -2,8 +2,21 @@
 
 from __future__ import annotations
 
+import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
+
+
+class TransientOutcome(enum.Enum):
+    """Classification of one affected read: picks its transient counter."""
+
+    CORRECTED = "corrected"   #: within the code's correction budget
+    REFETCH = "refetch"       #: detected on a clean line -> refetched
+    DUE = "due"               #: detected on a dirty line -> unrecoverable
+    SILENT = "silent"         #: beyond detection -> corrupt data consumed
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return self.value
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """The full chip: in-order core + IL1 + DL1 + core arrays + energy ledger.
 
 :class:`Chip.run` is the reproduction's MPSim: it streams a trace through
-the functional caches via the simulation engine
-(:func:`repro.engine.backends.simulate_cache`), derives the cycle count
-from the timing model, and prices every event with the CACTI-like energy
+the functional caches (the behavioural model by default; the engine
+passes its backends in as ``simulate=``), derives the cycle count from
+the timing model, and prices every event with the CACTI-like energy
 models — producing the energy-per-instruction (EPI) breakdowns of the
 paper's Figures 3 and 4.
 
@@ -14,22 +14,25 @@ include memory energy in our results"); memory *latency* is included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.cache.config import CacheConfig
+from repro.cache.hybrid import simulate_reference
 from repro.cache.stats import CacheStats
+from repro.cacti.components import gate_leakage
 from repro.cacti.model import CacheEnergyModel
 from repro.cpu.arrays import CoreArrays
 from repro.cpu.power import EnergyLedger
 from repro.cpu.timing import TimingParams, TimingResult, compute_timing
 from repro.cpu.trace import Trace
-from repro.engine.backends import simulate_cache
+from repro.faults.maps import DieFaultMap
 from repro.tech.operating import Mode, OperatingPoint, operating_point_for
+from repro.transients.recovery import (
+    account_transient_energy,
+    recovery_cycles,
+)
+from repro.transients.sampling import make_sampler
+from repro.transients.spec import TransientSpec
 from repro.util.profiling import phase
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.maps import DieFaultMap
-    from repro.transients.spec import TransientSpec
 
 
 @dataclass(frozen=True)
@@ -137,15 +140,12 @@ class Chip:
         trace: Trace,
         mode: Mode,
         operating_point: OperatingPoint | None = None,
-        backend: str = "auto",
-        fault_map: "DieFaultMap | None" = None,
-        transients: "TransientSpec | None" = None,
-        simulate=None,
+        fault_map: DieFaultMap | None = None,
+        transients: TransientSpec | None = None,
+        simulate=simulate_reference,
     ) -> RunResult:
         """Execute a trace in ``mode`` and account time and energy.
 
-        ``backend`` selects the functional simulation engine ("auto",
-        "vectorized" or "reference"); all backends are bit-identical.
         ``fault_map`` applies one die's disabled-line map
         (:class:`repro.faults.maps.DieFaultMap`) to both L1 arrays; a
         fault-free map is byte-identical to passing None.
@@ -155,24 +155,20 @@ class Chip:
         correction stalls enter the cycle count, and refetch + scrub
         energy enter the ledger.  A *null* spec is byte-identical to
         passing None.
-        ``simulate`` swaps the functional simulation entry point — a
-        callable with :func:`repro.engine.backends.simulate_cache`'s
-        signature.  The batching layer passes a wrapper that reuses
-        per-trace plans and memoizes identical functional simulations
-        across the jobs of a batch; everything downstream (timing,
-        energy, the result record) is shared code, which is what keeps
-        the batched path bit-identical to this per-job one.
+        ``simulate`` is the functional simulation, a callable with
+        :func:`repro.cache.hybrid.simulate_reference`'s signature (the
+        default: the behavioural per-access model).  The engine passes
+        its backends and its batch wrapper, which reuses per-trace
+        plans and memoizes identical functional simulations; everything
+        downstream (timing, energy, the result record) is shared code,
+        which is what keeps every simulator bit-identical to this one.
         """
         op = operating_point or operating_point_for(mode)
         if op.mode is not mode:
             raise ValueError("operating point does not match mode")
-        from repro.transients.spec import TransientSpec
-
         spec = TransientSpec.effective(transients)
         il1_sampler = dl1_sampler = None
         if spec is not None:
-            from repro.transients.sampling import make_sampler
-
             il1_sampler = make_sampler(
                 self.config.il1, mode, op, spec, "il1"
             )
@@ -180,26 +176,24 @@ class Chip:
                 self.config.dl1, mode, op, spec, "dl1"
             )
 
-        # Functional simulation: instruction fetches then data accesses.
-        # Each cache names its replacement policy; non-LRU policies make
-        # backend="auto" fall back to the reference model per cache.
+        # Functional simulation: instruction fetches then data accesses,
+        # each under its cache's replacement policy.
         il1_disabled = (
             fault_map.disabled_for("il1", mode) if fault_map else ()
         )
         dl1_disabled = (
             fault_map.disabled_for("dl1", mode) if fault_map else ()
         )
-        sim = simulate if simulate is not None else simulate_cache
-        il1_stats = sim(
+        il1_stats = simulate(
             self.config.il1, mode, trace.pc,
-            policy=self.config.il1.replacement, backend=backend,
+            policy=self.config.il1.replacement,
             disabled_lines=il1_disabled,
             transients=il1_sampler,
         )
         addresses, is_write = trace.memory_stream()
-        dl1_stats = sim(
+        dl1_stats = simulate(
             self.config.dl1, mode, addresses, is_write,
-            policy=self.config.dl1.replacement, backend=backend,
+            policy=self.config.dl1.replacement,
             disabled_lines=dl1_disabled,
             transients=dl1_sampler,
         )
@@ -207,8 +201,6 @@ class Chip:
         with phase("run.reduce"):
             recovery = 0.0
             if spec is not None:
-                from repro.transients.recovery import recovery_cycles
-
                 recovery = recovery_cycles(
                     self.config.il1, mode, il1_stats, spec,
                     self.config.timing.memory_latency_cycles,
@@ -247,7 +239,7 @@ class Chip:
         timing: TimingResult,
         il1_stats: CacheStats,
         dl1_stats: CacheStats,
-        transients: "TransientSpec | None" = None,
+        transients: TransientSpec | None = None,
     ) -> EnergyLedger:
         with phase("energy.account"):
             ledger = EnergyLedger()
@@ -260,10 +252,6 @@ class Chip:
 
             seconds = timing.cycles * op.cycle_time
             if transients is not None:
-                from repro.transients.recovery import (
-                    account_transient_energy,
-                )
-
                 for label, model, stats in (
                     ("il1", self.il1_model, il1_stats),
                     ("dl1", self.dl1_model, dl1_stats),
@@ -316,8 +304,6 @@ class Chip:
             return ledger
 
     def _core_logic_leakage(self, op: OperatingPoint) -> float:
-        from repro.cacti.components import gate_leakage
-
         return self.config.core_leak_gates * gate_leakage(
             op.vdd, self.config.core_arrays.cell.node
         )

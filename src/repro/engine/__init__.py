@@ -5,7 +5,9 @@ evaluation pipeline (see DESIGN.md section 5):
 
 * :mod:`repro.engine.backends` — one entry point,
   :func:`simulate_cache`, with interchangeable bit-identical backends:
-  the behavioural reference model and the batched numpy engine.
+  the behavioural reference model and the batched numpy engine.  The
+  engine binds a backend into it and passes it to
+  :meth:`repro.cpu.chip.Chip.run` as ``simulate=``.
 * :mod:`repro.engine.vectorized` — the fast path: whole-trace decode,
   per-set stream extraction and run-collapsed LRU kernels.
 * :mod:`repro.engine.plan` — :class:`StreamPlan`: the trace-dependent
@@ -23,9 +25,9 @@ evaluation pipeline (see DESIGN.md section 5):
   submission with deduplication, multi-process dispatch and
   on-disk memoization through the result store.
 
-Exports are lazy (PEP 562) so that low layers — ``repro.cpu.chip``
-imports :func:`simulate_cache` — can load without dragging in the
-orchestration stack.
+Exports are lazy (PEP 562) so that importing one submodule does not
+load the others: ``import repro.engine.jobs`` (what the service and
+the workers need) leaves the session and its process pool unloaded.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ _LAZY_EXPORTS = {
 
 
 def __getattr__(name: str):
-    """Lazy exports (PEP 562) to avoid import cycles with low layers."""
+    """Lazy exports (PEP 562): load only the submodule asked for."""
     if name in _LAZY_EXPORTS:
         import importlib
 

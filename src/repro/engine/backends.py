@@ -4,8 +4,8 @@ Three interchangeable backends produce :class:`CacheStats` for an access
 stream on a fresh cache in a fixed mode:
 
 * ``"reference"`` — the behavioural per-access model
-  (:class:`repro.cache.hybrid.HybridCache`), valid for any replacement
-  policy and the ground truth for equivalence testing;
+  (:func:`repro.cache.hybrid.simulate_reference`), valid for any
+  replacement policy and the ground truth for equivalence testing;
 * ``"vectorized"`` — the batched numpy engine
   (:mod:`repro.engine.vectorized`), bit-identical for LRU runs with a
   static way mask and an order of magnitude faster;
@@ -13,9 +13,11 @@ stream on a fresh cache in a fixed mode:
   simulations (the fast path's contract), the reference model for any
   other replacement policy.
 
-Batched callers (:mod:`repro.engine.batch`) additionally pass a
-precomputed :class:`repro.engine.plan.StreamPlan` via ``plan=`` so one
-trace's decode/sort/run-collapse is shared across many simulations.
+The engine binds a backend into :func:`simulate_cache` and passes it
+as :meth:`repro.cpu.chip.Chip.run`'s ``simulate=``.  Batched callers
+(:mod:`repro.engine.batch`) also pass a precomputed
+:class:`repro.engine.plan.StreamPlan` via ``plan=`` so one trace's
+decode/sort/run-collapse is shared across many simulations.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.hybrid import HybridCache
+from repro.cache.hybrid import simulate_reference
 from repro.cache.replacement import ReplacementPolicy
 from repro.cache.stats import CacheStats
 from repro.engine.plan import StreamPlan
@@ -97,36 +99,8 @@ def simulate_cache(
                 plan=plan,
             )
     with phase("simulate.reference"):
-        return _simulate_reference(
+        return simulate_reference(
             config, mode, addresses, is_write, policy=policy, seed=seed,
             disabled_lines=disabled_lines,
             transients=transients,
         )
-
-
-def _simulate_reference(
-    config: CacheConfig,
-    mode: Mode,
-    addresses: np.ndarray,
-    is_write: np.ndarray | None,
-    policy: str | ReplacementPolicy = "lru",
-    seed: int = 0,
-    disabled_lines: tuple[tuple[int, int], ...] = (),
-    transients=None,
-) -> CacheStats:
-    """The behavioural per-access loop (previously inlined in Chip.run)."""
-    cache = HybridCache(
-        config,
-        policy=policy,
-        mode=mode,
-        seed=seed,
-        disabled_lines=disabled_lines,
-        transients=transients,
-    )
-    if is_write is None:
-        for address in addresses:
-            cache.access(int(address), is_write=False)
-    else:
-        for address, write in zip(addresses, is_write):
-            cache.access(int(address), is_write=bool(write))
-    return cache.stats

@@ -142,12 +142,14 @@ class _SharedTraceContext:
       phase under ``--profile`` makes that visible next to
       ``batch.kernel``.
 
+    ``backend`` is the one every simulation of the group runs on.
     Scoped to one group on purpose: nothing outlives the batch, so
     runtime model changes (monkeypatching in tests, hot reloads) can
     never be served stale functional results across batches.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, backend: str) -> None:
+        self._backend = backend
         self._plans: dict[tuple, object] = {}
         self._memo: dict[tuple, object] = {}
         # Pin the streams behind the id()-based keys: a recycled id
@@ -162,12 +164,11 @@ class _SharedTraceContext:
         is_write=None,
         policy="lru",
         seed: int = 0,
-        backend: str = "auto",
         disabled_lines: tuple[tuple[int, int], ...] = (),
         transients=None,
     ):
         """Drop-in for :func:`repro.engine.backends.simulate_cache`."""
-        chosen = backends.resolve_backend(backend, policy)
+        chosen = backends.resolve_backend(self._backend, policy)
         stream = (
             id(addresses),
             id(is_write) if is_write is not None else None,
@@ -207,7 +208,7 @@ class _SharedTraceContext:
             is_write,
             policy=policy,
             seed=seed,
-            backend=backend,
+            backend=self._backend,
             disabled_lines=disabled_lines,
             transients=transients,
             plan=plan,
@@ -237,7 +238,7 @@ def execute_group(
     if not jobs:
         return results
     trace = trace_for(jobs[0].trace)
-    context = _SharedTraceContext()
+    context = _SharedTraceContext(backend)
     for job in jobs:
         chip = chip_for(job.chip)
         with phase("jobs.execute"):
@@ -245,7 +246,6 @@ def execute_group(
                 trace,
                 job.mode,
                 operating_point=job.operating_point,
-                backend=backend,
                 fault_map=job.fault_map,
                 transients=job.transients,
                 simulate=context.simulate,

@@ -25,10 +25,11 @@ import hashlib
 import pathlib
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from repro.cpu.chip import Chip, ChipConfig, RunResult
 from repro.cpu.trace import Trace
+from repro.engine import backends
 from repro.faults.maps import DieFaultMap
 from repro.tech.operating import Mode, OperatingPoint
 from repro.transients.spec import TransientSpec
@@ -267,7 +268,7 @@ def execute_job(job: SimulationJob, backend: str = "auto") -> RunResult:
             trace,
             job.mode,
             operating_point=job.operating_point,
-            backend=backend,
             fault_map=job.fault_map,
             transients=job.transients,
+            simulate=partial(backends.simulate_cache, backend=backend),
         )

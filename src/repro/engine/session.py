@@ -1,8 +1,7 @@
-"""Experiment orchestration: batched, parallel, memoized simulation.
+"""Job orchestration: batched, parallel, memoized simulation.
 
 A :class:`SimulationSession` is the front door of the engine: callers
-submit batches of :class:`SimulationJob`\\ s (or whole experiment ids) and
-the session
+submit batches of :class:`SimulationJob`\\ s and the session
 
 * **deduplicates** identical jobs within and across batches (the same
   (chip, trace, mode, operating point) never simulates twice),
@@ -23,18 +22,11 @@ configured session via :func:`use_session`.
 from __future__ import annotations
 
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Iterator,
-    Mapping,
-    Sequence,
-)
+from typing import Callable, Iterator, Sequence
 
 from repro.cpu.chip import RunResult
 from repro.engine.backends import BACKENDS
@@ -45,9 +37,6 @@ from repro.engine.batch import (
 )
 from repro.engine.jobs import SimulationJob, job_key
 from repro.engine.store import generation_store
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.experiments.report import ExperimentResult
 
 
 @dataclass
@@ -178,7 +167,7 @@ class SimulationSession:
         self.stats = SessionStats()
         self._memo: dict[str, RunResult] = {}
         self._pool: ProcessPoolExecutor | None = None
-        self._cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._store = (
             generation_store(cache_dir) if cache_dir is not None else None
         )
@@ -298,106 +287,6 @@ class SimulationSession:
             for index, result in zip(group, group_results):
                 results[index] = result
         return results
-
-    # ------------------------------------------------- experiment batches
-    def run_experiments(
-        self,
-        experiment_ids: Sequence[str],
-        kwargs_by_id: Mapping[str, dict] | None = None,
-        on_result: Callable[[str, "ExperimentResult"], None] | None = None,
-    ) -> dict[str, "ExperimentResult"]:
-        """Run registry experiments, in parallel when ``jobs > 1``.
-
-        ``on_result`` is invoked as each experiment finishes (completion
-        order under parallel dispatch) — callers use it to persist
-        reports incrementally, so one failing experiment does not
-        discard the others' finished work.
-
-        Each experiment runs in its own worker with a serial inner
-        session using this session's backend and disk cache, so process
-        counts stay bounded by ``jobs`` whatever the drivers submit
-        internally, while results are still shared across experiments
-        (and invocations) through the disk cache.  The serial path runs
-        under this session itself, sharing the in-memory memo too.
-        """
-        kwargs_by_id = dict(kwargs_by_id or {})
-        if self.jobs > 1 and len(experiment_ids) > 1:
-            # Workers are separate processes: the in-memory memo cannot
-            # be shared, so cross-experiment result sharing goes through
-            # a disk cache — the configured one, or a scratch directory
-            # for the duration of the batch.
-            scratch: tempfile.TemporaryDirectory | None = None
-            if self._cache_dir is not None:
-                cache_dir: Path | None = self._cache_dir
-            else:
-                scratch = tempfile.TemporaryDirectory(
-                    prefix="repro-engine-"
-                )
-                cache_dir = Path(scratch.name)
-            items = [
-                (
-                    experiment_id,
-                    kwargs_by_id.get(experiment_id, {}),
-                    self.backend,
-                    cache_dir,
-                )
-                for experiment_id in experiment_ids
-            ]
-            results: dict[str, "ExperimentResult"] = {}
-            first_error: BaseException | None = None
-            try:
-                workers = min(self.jobs, len(items))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(_execute_experiment, item)
-                        for item in items
-                    ]
-                    # Drain every future: one failing experiment must
-                    # not discard the others' finished results (they
-                    # are streamed to on_result); re-raise afterwards.
-                    for future in as_completed(futures):
-                        try:
-                            experiment_id, result = future.result()
-                        except BaseException as error:
-                            if first_error is None:
-                                first_error = error
-                            continue
-                        results[experiment_id] = result
-                        if on_result is not None:
-                            on_result(experiment_id, result)
-            finally:
-                if scratch is not None:
-                    scratch.cleanup()
-            if first_error is not None:
-                raise first_error
-            return results
-
-        from repro.experiments.registry import run_experiment
-
-        results = {}
-        with use_session(self):
-            for experiment_id in experiment_ids:
-                result = run_experiment(
-                    experiment_id, **kwargs_by_id.get(experiment_id, {})
-                )
-                results[experiment_id] = result
-                if on_result is not None:
-                    on_result(experiment_id, result)
-        return results
-
-
-def _execute_experiment(
-    item: tuple[str, dict, str, os.PathLike | None]
-) -> tuple[str, "ExperimentResult"]:
-    """Worker: run one registry experiment under a serial session."""
-    experiment_id, kwargs, backend, cache_dir = item
-    from repro.experiments.registry import run_experiment
-
-    session = SimulationSession(
-        jobs=1, backend=backend, cache_dir=cache_dir
-    )
-    with use_session(session):
-        return experiment_id, run_experiment(experiment_id, **kwargs)
 
 
 # ------------------------------------------------------- current session

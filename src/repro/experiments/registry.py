@@ -1,10 +1,20 @@
-"""Experiment registry: ids -> drivers (see DESIGN.md section 4)."""
+"""Experiment registry: ids -> drivers (see DESIGN.md section 4).
+
+:func:`run_experiments` runs a batch of them through one
+:class:`~repro.engine.session.SimulationSession`, fanning whole
+experiments out to worker processes when the session has ``jobs > 1``.
+"""
 
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable
+import os
+import tempfile
+from collections.abc import Callable, Mapping, Sequence
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from pathlib import Path
 
+from repro.engine.session import SimulationSession, use_session
 from repro.experiments.ablations import (
     run_cache_size_ablation,
     run_memory_latency_ablation,
@@ -87,3 +97,96 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
             f"known: {list_experiments()}"
         ) from None
     return driver(**kwargs)
+
+
+def run_experiments(
+    session: SimulationSession,
+    experiment_ids: Sequence[str],
+    kwargs_by_id: Mapping[str, dict] | None = None,
+    on_result: Callable[[str, ExperimentResult], None] | None = None,
+) -> dict[str, ExperimentResult]:
+    """Run registry experiments, in parallel when ``session.jobs > 1``.
+
+    ``on_result`` is invoked as each experiment finishes (completion
+    order under parallel dispatch) — callers use it to persist reports
+    incrementally, so one failing experiment does not discard the
+    others' finished work.
+
+    Each experiment runs in its own worker with a serial inner session
+    using ``session``'s backend and disk cache, so process counts stay
+    bounded by ``session.jobs`` whatever the drivers submit internally,
+    while results are still shared across experiments (and
+    invocations) through the disk cache.  The serial path runs under
+    ``session`` itself, sharing the in-memory memo too.
+    """
+    kwargs_by_id = dict(kwargs_by_id or {})
+    if session.jobs > 1 and len(experiment_ids) > 1:
+        # Workers are separate processes: the in-memory memo cannot be
+        # shared, so cross-experiment result sharing goes through a
+        # disk cache — the configured one, or a scratch directory for
+        # the duration of the batch.
+        scratch: tempfile.TemporaryDirectory | None = None
+        if session.cache_dir is not None:
+            cache_dir: Path | None = session.cache_dir
+        else:
+            scratch = tempfile.TemporaryDirectory(prefix="repro-engine-")
+            cache_dir = Path(scratch.name)
+        items = [
+            (
+                experiment_id,
+                kwargs_by_id.get(experiment_id, {}),
+                session.backend,
+                cache_dir,
+            )
+            for experiment_id in experiment_ids
+        ]
+        results: dict[str, ExperimentResult] = {}
+        first_error: BaseException | None = None
+        try:
+            workers = min(session.jobs, len(items))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [
+                    pool.submit(_execute_experiment, item) for item in items
+                ]
+                # Drain every future: one failing experiment must not
+                # discard the others' finished results (they are
+                # streamed to on_result); re-raise afterwards.
+                for future in as_completed(futures):
+                    try:
+                        experiment_id, result = future.result()
+                    except BaseException as error:
+                        if first_error is None:
+                            first_error = error
+                        continue
+                    results[experiment_id] = result
+                    if on_result is not None:
+                        on_result(experiment_id, result)
+        finally:
+            if scratch is not None:
+                scratch.cleanup()
+        if first_error is not None:
+            raise first_error
+        return results
+
+    results = {}
+    with use_session(session):
+        for experiment_id in experiment_ids:
+            result = run_experiment(
+                experiment_id, **kwargs_by_id.get(experiment_id, {})
+            )
+            results[experiment_id] = result
+            if on_result is not None:
+                on_result(experiment_id, result)
+    return results
+
+
+def _execute_experiment(
+    item: tuple[str, dict, str, os.PathLike | None]
+) -> tuple[str, ExperimentResult]:
+    """Worker: run one registry experiment under a serial session."""
+    experiment_id, kwargs, backend, cache_dir = item
+    session = SimulationSession(
+        jobs=1, backend=backend, cache_dir=cache_dir
+    )
+    with use_session(session):
+        return experiment_id, run_experiment(experiment_id, **kwargs)

@@ -15,7 +15,7 @@ identical points collapse before any simulation is submitted.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 from repro.core import calibration
@@ -80,9 +80,9 @@ class Candidate:
         """The candidate's report/campaign row label."""
         return self.chip.name
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """Content digest of the candidate's *hardware*.
+        """Content digest of the candidate's *hardware* (walked once).
 
         Labels are stripped before hashing: two sweep points whose
         names differ but whose configurations quantize to the same

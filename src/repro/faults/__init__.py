@@ -1,17 +1,19 @@
 """Die-population fault injection over the variation models.
 
-Three layers, bottom-up:
+The package spans three layers of the stack (DESIGN.md section 1),
+bottom-up:
 
-* :mod:`repro.faults.maps` — :class:`DieFaultMap`, the content-
-  addressed per-die description of disabled cache lines the engine's
-  job keys hash (dependency-light so ``engine`` and ``cpu`` can import
-  it);
+* this package and :mod:`repro.faults.maps` — :class:`DieFaultMap`,
+  the content-addressed per-die description of disabled cache lines
+  that ``Chip.run`` consumes and the engine's job keys hash; below
+  ``cache``;
 * :mod:`repro.faults.sampling` — seeded, order-independent sampling of
   die populations from the sized cells' analytic failure
-  probabilities;
+  probabilities; above ``cacti``;
 * :mod:`repro.faults.population` — :class:`PopulationStudy`, batching
   die x benchmark x mode through the simulation session and reducing
-  population distributions, yield curves and fault histograms.
+  population distributions, yield curves and fault histograms; above
+  ``core``.
 """
 
 from repro.faults.maps import (
@@ -21,12 +23,10 @@ from repro.faults.maps import (
     DieFaultMap,
 )
 
-#: Sampling and population symbols resolve lazily (PEP 562): the
-#: engine imports :mod:`repro.faults.maps` from inside its job layer,
-#: so this ``__init__`` must stay as light as ``maps`` itself — an
-#: eager population import would close a cycle back through
-#: ``repro.core``, and an eager sampling import would drag the sram
-#: failure models into every engine import.
+#: Sampling and population symbols resolve lazily (PEP 562): this
+#: ``__init__`` sits in the lowest faults layer, next to ``maps``, so
+#: importing either of the higher two here would be an upward import
+#: (``cpu`` and ``engine`` load this package for ``maps``).
 _LAZY_EXPORTS = {
     "DEFAULT_PERCENTILES": "repro.faults.population",
     "DEFAULT_VDD_GRID": "repro.faults.population",

@@ -4,17 +4,19 @@ The executable counterpart of :mod:`repro.reliability.soft_errors`:
 where the analytic model integrates Poisson strike probabilities, this
 package injects concrete upsets into the functional simulation and
 charges their recovery costs, making scenario B's SECDED-vs-DECTED
-soft-error argument measurable instead of asserted.  Three layers,
-bottom-up:
+soft-error argument measurable instead of asserted.  One layer, below
+``cpu`` (which builds the samplers and prices recoveries) and above
+``cache`` (which only calls the sampler it is handed); bottom-up:
 
 * :mod:`repro.transients.spec` — :class:`TransientSpec`, the frozen,
-  content-hashable injection description jobs carry (dependency-light
-  so the engine's job layer can import it);
+  content-hashable injection description jobs carry;
 * :mod:`repro.transients.sampling` — the counter-based upset sampler
   and read classification (clean / corrected / detected→refetch /
-  DUE / silent), shared bit-identically by both simulation backends;
+  DUE / silent, :class:`~repro.cache.stats.TransientOutcome`,
+  re-exported here), shared bit-identically by both backends;
 * :mod:`repro.transients.recovery` — refetch/correction stall and
-  scrub/refetch energy accounting over the sampled counters;
+  scrub/refetch energy accounting over the sampled counters, into any
+  ledger with an ``add`` method;
 * :mod:`repro.transients.metrics` — DUE/SDC FIT and refetch-rate
   reductions shared by the population and exploration layers.
 

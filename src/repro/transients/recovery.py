@@ -26,7 +26,6 @@ from __future__ import annotations
 from repro.cache.config import CacheConfig
 from repro.cache.stats import CacheStats
 from repro.cacti.model import CacheEnergyModel
-from repro.cpu.power import EnergyLedger
 from repro.edc.protection import ProtectionScheme
 from repro.tech.operating import Mode, OperatingPoint
 from repro.transients.spec import TransientSpec
@@ -89,7 +88,7 @@ def scrub_pass_energy(
 
 
 def account_transient_energy(
-    ledger: EnergyLedger,
+    ledger,
     label: str,
     model: CacheEnergyModel,
     stats: CacheStats,
@@ -99,6 +98,8 @@ def account_transient_energy(
 ) -> None:
     """Charge one array's refetch and scrub energy into the ledger.
 
+    ``ledger`` is anything with an ``add(component, joules)`` method —
+    the chip's :class:`~repro.cpu.power.EnergyLedger` in practice.
     Refetch energy lands under ``<label>.refetch`` (array) and
     ``<label>.edc`` (re-encode), scrub energy under ``<label>.scrub``
     and ``<label>.edc.scrub`` — the split keeps the report's EDC

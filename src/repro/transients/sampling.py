@@ -35,12 +35,12 @@ construction):
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cache.config import CacheConfig
+from repro.cache.stats import TransientOutcome
 from repro.edc.protection import ProtectionScheme, make_code
 from repro.reliability.soft_errors import SoftErrorModel, poisson_pmf
 from repro.tech.operating import Mode, OperatingPoint
@@ -56,18 +56,6 @@ _UNIFORM_SCALE = 2.0 ** -53
 
 #: Interval block size for whole-array enumeration (bounds memory).
 _ENUMERATE_BLOCK = 64
-
-
-class TransientOutcome(enum.Enum):
-    """Classification of one affected read."""
-
-    CORRECTED = "corrected"   #: within the code's correction budget
-    REFETCH = "refetch"       #: detected on a clean line -> refetched
-    DUE = "due"               #: detected on a dirty line -> unrecoverable
-    SILENT = "silent"         #: beyond detection -> corrupt data consumed
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:

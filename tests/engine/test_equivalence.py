@@ -8,16 +8,26 @@ tests pin that contract across modes, way splits, benchmarks and random
 streams (hypothesis).
 """
 
+import inspect
+import pickle
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.config import CacheConfig, WayGroupConfig
+from repro.cache.hybrid import simulate_reference
 from repro.core.architect import build_cache_pair, build_chips
+from repro.cpu.chip import Chip
 from repro.edc.protection import ProtectionScheme
 from repro.engine.backends import resolve_backend, simulate_cache
+from repro.engine.jobs import SimulationJob, TraceSpec, execute_job
 from repro.tech.operating import Mode, OperatingPoint
 from repro.workloads.mediabench import generate_trace
+
+#: ``Chip.run``'s ``simulate=`` for the vectorized engine.
+VECTORIZED = partial(simulate_cache, backend="vectorized")
 
 
 def _both_backends(config, mode, addresses, is_write=None):
@@ -186,8 +196,8 @@ class TestChipLevelEquivalence:
         bench = "g721_c" if mode is Mode.HP else "adpcm_c"
         trace = generate_trace(bench, length=15_000, seed=5)
         for chip in chips.pair():
-            reference = chip.run(trace, mode, backend="reference")
-            vectorized = chip.run(trace, mode, backend="vectorized")
+            reference = chip.run(trace, mode, simulate=simulate_reference)
+            vectorized = chip.run(trace, mode, simulate=VECTORIZED)
             assert reference.il1_stats == vectorized.il1_stats
             assert reference.dl1_stats == vectorized.dl1_stats
             assert reference.timing == vectorized.timing
@@ -199,16 +209,35 @@ class TestChipLevelEquivalence:
                 reference.execution_seconds == vectorized.execution_seconds
             )
 
+    @pytest.mark.parametrize("mode", [Mode.HP, Mode.ULE])
+    def test_default_simulate_matches_execute_job(self, design_a, mode):
+        """``Chip.run``'s default simulator (the behavioural model)
+        and the engine's per-job run pickle to the same bytes on the
+        LRU paper chips; the chip itself takes no backend."""
+        assert "backend" not in inspect.signature(Chip.run).parameters
+        spec = TraceSpec("g721_c", 6_000, 5)
+        trace = generate_trace(
+            spec.benchmark, length=spec.length, seed=spec.seed
+        )
+        for chip in build_chips(design_a).pair():
+            assert chip.config.il1.replacement == "lru"
+            assert chip.config.dl1.replacement == "lru"
+            job = SimulationJob(chip=chip.config, trace=spec, mode=mode)
+            assert pickle.dumps(chip.run(trace, mode)) == pickle.dumps(
+                execute_job(job)
+            )
+
     def test_overridden_operating_point(self, design_a):
         """The Vcc-ablation path: same override, same results."""
         chips = build_chips(design_a)
         point = OperatingPoint(mode=Mode.ULE, vdd=0.40, frequency=5e6)
         trace = generate_trace("adpcm_d", length=8_000, seed=9)
         reference = chips.proposed.run(
-            trace, Mode.ULE, operating_point=point, backend="reference"
+            trace, Mode.ULE, operating_point=point,
+            simulate=simulate_reference,
         )
         vectorized = chips.proposed.run(
-            trace, Mode.ULE, operating_point=point, backend="vectorized"
+            trace, Mode.ULE, operating_point=point, simulate=VECTORIZED
         )
         assert reference.operating_point == point
         assert vectorized.operating_point == point

@@ -11,6 +11,8 @@ The fault-map edge cases of the population subsystem:
   bit-identically across backends.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -162,7 +164,8 @@ class TestBackendEquivalence:
         trace = generate_trace("g721_c", length=4_000, seed=9)
         outcomes = [
             chips_a.proposed.run(
-                trace, mode, backend=backend, fault_map=fault_map
+                trace, mode, fault_map=fault_map,
+                simulate=partial(simulate_cache, backend=backend),
             )
             for backend in ("vectorized", "reference")
         ]

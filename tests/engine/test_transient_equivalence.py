@@ -15,6 +15,7 @@ equivalence must hold for *every* stream, not one golden seed.
 """
 
 import os
+from functools import partial
 
 import pytest
 
@@ -74,7 +75,10 @@ class TestBackendEquivalence:
         spec = _spec(seed)
         for chip in (chips_b.baseline, chips_b.proposed):
             outcomes = [
-                chip.run(trace, mode, backend=backend, transients=spec)
+                chip.run(
+                    trace, mode, transients=spec,
+                    simulate=partial(simulate_cache, backend=backend),
+                )
                 for backend in ("vectorized", "reference")
             ]
             assert _results_equal(*outcomes)
@@ -126,8 +130,9 @@ class TestBackendEquivalence:
         trace = generate_trace("g721_c", length=4_000, seed=9)
         outcomes = [
             chips_b.proposed.run(
-                trace, Mode.ULE, backend=backend,
+                trace, Mode.ULE,
                 fault_map=fault_map, transients=_spec(seed),
+                simulate=partial(simulate_cache, backend=backend),
             )
             for backend in ("vectorized", "reference")
         ]

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.engine.session import SimulationSession
 from repro.experiments import list_experiments, run_experiment
+from repro.experiments.registry import run_experiments
 from repro.experiments.report import ExperimentResult, PaperComparison
 
 
@@ -29,6 +31,99 @@ class TestRegistry:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             run_experiment("fig99")
+
+
+class TestExperimentBatch:
+    def test_run_experiments_serial(self):
+        session = SimulationSession()
+        results = run_experiments(session, ["tab-sizing", "tab-area"])
+        assert set(results) == {"tab-sizing", "tab-area"}
+        assert "tab-sizing" in results["tab-sizing"].render()
+
+    def test_run_experiments_uses_disk_cache(self, tmp_path):
+        """Experiment batches must flow through the session's disk
+        cache (regression: `all --cache-dir` silently ignored it)."""
+        session = SimulationSession(cache_dir=tmp_path)
+        run_experiments(
+            session,
+            ["tab-exectime"],
+            {"tab-exectime": {"trace_length": 2_000}},
+        )
+        entries = list(tmp_path.glob("gen-*/*/*.pkl"))
+        assert entries
+
+        # A fresh session over the same cache dir executes nothing.
+        rerun = SimulationSession(cache_dir=tmp_path)
+        run_experiments(
+            rerun,
+            ["tab-exectime"],
+            {"tab-exectime": {"trace_length": 2_000}},
+        )
+        assert rerun.stats.executed == 0
+        assert rerun.stats.disk_hits > 0
+
+    def test_run_experiments_parallel_uses_disk_cache(self, tmp_path):
+        session = SimulationSession(jobs=2, cache_dir=tmp_path)
+        run_experiments(
+            session,
+            ["tab-exectime", "tab-wcet"],
+            {
+                "tab-exectime": {"trace_length": 2_000},
+                "tab-wcet": {"trace_length": 2_000},
+            },
+        )
+        assert list(tmp_path.glob("gen-*/*/*.pkl"))
+
+    def test_on_result_streams_completions(self):
+        seen = []
+        run_experiments(
+            SimulationSession(),
+            ["tab-sizing", "tab-area"],
+            on_result=lambda experiment_id, result: seen.append(
+                (experiment_id, result.experiment_id)
+            ),
+        )
+        assert sorted(seen) == [
+            ("tab-area", "tab-area"),
+            ("tab-sizing", "tab-sizing"),
+        ]
+
+    def test_parallel_failure_keeps_completed_results(self, monkeypatch):
+        """One exploding experiment must not discard the finished ones:
+        successes stream to on_result, the error re-raises after."""
+        import repro.experiments.registry as registry
+
+        def boom():
+            raise RuntimeError("driver exploded")
+
+        patched = dict(registry._REGISTRY)
+        patched["boom"] = boom
+        monkeypatch.setattr(registry, "_REGISTRY", patched)
+
+        seen = []
+        session = SimulationSession(jobs=2)
+        with pytest.raises(RuntimeError, match="driver exploded"):
+            run_experiments(
+                session,
+                ["tab-sizing", "boom", "tab-area"],
+                on_result=lambda experiment_id, result: seen.append(
+                    experiment_id
+                ),
+            )
+        assert sorted(seen) == ["tab-area", "tab-sizing"]
+
+    def test_run_experiments_parallel_matches_serial(self):
+        serial = run_experiments(
+            SimulationSession(jobs=1), ["tab-sizing", "tab-area"]
+        )
+        parallel = run_experiments(
+            SimulationSession(jobs=2), ["tab-sizing", "tab-area"]
+        )
+        for experiment_id in serial:
+            assert (
+                serial[experiment_id].render()
+                == parallel[experiment_id].render()
+            )
 
 
 class TestReportTypes:

@@ -1,7 +1,10 @@
 """Candidate building: sizing, validity, identity."""
 
+import dataclasses
+
 import pytest
 
+import repro.explore.candidates as candidates_module
 from repro.edc.protection import ProtectionScheme
 from repro.explore.candidates import (
     CandidateError,
@@ -80,6 +83,25 @@ class TestIdentity:
         # The evaluation identity still differs: the operating points
         # are distinct, which is why dedup keys include them.
         assert a.ule_point != b.ule_point
+
+    def test_digest_is_walked_once(self, monkeypatch):
+        """The digest is cached on the candidate: the same value as
+        before, and a second read walks nothing."""
+        candidate = dataclasses.replace(build_candidate(PAPER_POINT))
+        walks = []
+        real = candidates_module.canonical_digest
+
+        def counting(value):
+            walks.append(value)
+            return real(value)
+
+        monkeypatch.setattr(candidates_module, "canonical_digest", counting)
+        assert candidate.digest == (
+            "a8e23a4c3e960e28f0bc8ec30836e0b6"
+            "37acc11b15db2ee6a4ff13a6f416e036"
+        )
+        assert candidate.digest == candidate.digest
+        assert len(walks) == 1
 
     def test_point_round_trips(self):
         candidate = build_candidate(PAPER_POINT)

@@ -1,24 +1,23 @@
 #!/usr/bin/env python3
-"""Layering lint: gated packages are imported only from allowed places.
+"""Layering lint: every ``repro`` module imports only its own layer or
+the layers below it.
 
-Each row of :data:`RULES` gates one module prefix and names the
-entries of the scanned package root (directories or top-level files)
-whose code may import it.  This gate walks ``src/repro`` with
-:mod:`ast` and fails on any ``import <prefix>...`` /
-``from <prefix>... import ...`` elsewhere.  Relative imports
-(``from ..engine.jobs import ...``) are resolved against the importing
-file's package first; the scanned root is the ``repro`` package.
+:data:`LAYERS` is DESIGN.md §1 as data: module prefixes, lowest layer
+first.  A module belongs to the layer of its longest matching prefix,
+so a package can be split where the stack splits it (``faults`` sits
+below ``cache``, ``faults.sampling`` above ``cacti`` and
+``faults.population`` above ``core``).  The lint walks ``src/repro``
+with :mod:`ast` and fails on any import of a higher layer, whatever its
+form: top-level, inside a function, under ``TYPE_CHECKING`` or
+relative (``from ..engine import jobs`` is resolved against the
+importing file's package first).  ``from <pkg> import a, b`` is checked
+as ``<pkg>``, ``<pkg>.a`` and ``<pkg>.b``, because ``a`` may be a
+submodule.
 
-* ``repro.sram`` — only ``repro/sram/`` itself and ``repro/cells/``
-  (the compatibility shim re-exporting it).  The cell-technology API
-  is the supported way to consume bitcells; direct ``repro.sram``
-  imports bypass the protocol and freeze callers onto one technology.
-* ``repro.service`` — only ``repro/service/`` itself and the CLI
-  (``repro/__main__.py``).  The service sits on top of the engine, so
-  nothing below it may depend on it (DESIGN.md §1).
-* ``repro.engine`` — only the layers above it in DESIGN.md §1, plus
-  ``repro/cpu/`` (see the row's comment).  In particular
-  ``repro.workloads`` sits below the engine and never imports it.
+One rule rides on top of the order: ``repro.cells`` is the door to
+``repro.sram``.  Only ``repro.sram`` itself and ``repro.cells`` (the
+cell-technology API, which re-exports the SRAM stack) import it, so
+non-SRAM technologies slot in without touching callers.
 
 Usage::
 
@@ -39,22 +38,55 @@ import sys
 #: The package the scanned root directory stands for.
 ROOT_PACKAGE = "repro"
 
-#: (gated module prefix, package-root entries allowed to import it).
-RULES = (
-    ("repro.sram", ("sram", "cells")),
-    ("repro.service", ("service", "__main__.py")),
-    # ``cpu`` is listed only because ``cpu/chip.py`` calls
-    # ``engine.backends.simulate_cache``.
-    ("repro.engine", (
-        "engine", "cpu", "core", "explore", "experiments", "faults",
-        "runtime", "service", "__main__.py",
-    )),
+#: Module prefixes, lowest layer first.  The root package comes first:
+#: its exports are lazy, so importing it loads nothing.
+LAYERS = (
+    "repro",
+    "repro.util",
+    "repro.tech",
+    "repro.sram",
+    "repro.cells",
+    "repro.edc",
+    "repro.reliability",
+    "repro.faults",
+    "repro.cache",
+    "repro.cacti",
+    "repro.faults.sampling",
+    "repro.transients",
+    "repro.cpu",
+    "repro.workloads",
+    "repro.engine",
+    "repro.core",
+    "repro.faults.population",
+    "repro.runtime",
+    "repro.sustainability",
+    "repro.explore",
+    "repro.experiments",
+    "repro.service",
+    "repro.__main__",
 )
 
+#: (gated prefix, the one layer above it allowed to import it).
+DOOR = ("repro.sram", "repro.cells")
 
-def _gated(name: str, prefix: str) -> bool:
-    """Whether a dotted module name is the prefix or inside it."""
+
+def _within(name: str, prefix: str) -> bool:
+    """Whether a dotted name is the prefix or inside it."""
     return name == prefix or name.startswith(prefix + ".")
+
+
+def layer_of(name: str) -> str | None:
+    """The :data:`LAYERS` prefix a dotted module name belongs to."""
+    matches = [prefix for prefix in LAYERS if _within(name, prefix)]
+    return max(matches, key=len) if matches else None
+
+
+def module_name(root: pathlib.Path, path: pathlib.Path) -> str:
+    """The dotted name of a source file under the scanned root."""
+    parts = (ROOT_PACKAGE,) + path.relative_to(root).with_suffix("").parts
+    if parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts)
 
 
 def _absolute_module(
@@ -72,44 +104,56 @@ def _absolute_module(
     return ".".join(base + ((node.module,) if node.module else ()))
 
 
-def _violations_in(
-    path: pathlib.Path,
-    tree: ast.Module,
-    prefix: str,
-    package: tuple[str, ...],
+def _imported(
+    node: ast.AST, package: tuple[str, ...]
 ) -> list[str]:
-    """Offending import lines of one parsed module for one rule."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if _gated(alias.name, prefix):
-                    found.append(
-                        f"{path}:{node.lineno}: import {alias.name}"
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            module = _absolute_module(node, package)
-            if _gated(module, prefix):
-                found.append(
-                    f"{path}:{node.lineno}: from {module} import ..."
-                )
-    return found
+    """Every dotted name an import statement may load."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        module = _absolute_module(node, package)
+        return [module] + [
+            f"{module}.{alias.name}"
+            for alias in node.names
+            if alias.name != "*"
+        ]
+    return []
+
+
+def _offence(importer: str, target: str) -> str | None:
+    """Why ``importer`` may not import ``target`` (None if it may)."""
+    gated, door = DOOR
+    if _within(target, gated) and not (
+        _within(importer, gated) or _within(importer, door)
+    ):
+        return f"only {door} may import {gated}"
+    mine, theirs = layer_of(importer), layer_of(target)
+    if theirs is not None and LAYERS.index(theirs) > LAYERS.index(mine):
+        return f"layer {theirs} is above {mine}"
+    return None
 
 
 def check_package(root: pathlib.Path) -> list[str]:
-    """All violations of :data:`RULES` under ``root``, sorted by file."""
+    """All layering violations under ``root``, sorted by file."""
     violations: list[str] = []
     for path in sorted(root.rglob("*.py")):
-        parts = path.relative_to(root).parts
-        applicable = [rule for rule in RULES if parts[0] not in rule[1]]
-        if not applicable:
-            continue
+        importer = module_name(root, path)
+        package = tuple(importer.split("."))
+        if path.name != "__init__.py":
+            package = package[:-1]
         tree = ast.parse(
             path.read_text(encoding="utf-8"), filename=str(path)
         )
-        package = (ROOT_PACKAGE,) + parts[:-1]
-        for prefix, _allowed in applicable:
-            violations.extend(_violations_in(path, tree, prefix, package))
+        found: dict[tuple[int, str], str] = {}
+        for node in ast.walk(tree):
+            for target in _imported(node, package):
+                reason = _offence(importer, target)
+                if reason is not None:
+                    found.setdefault((node.lineno, reason), target)
+        violations.extend(
+            f"{path}:{lineno}: imports {target} ({reason})"
+            for (lineno, reason), target in sorted(found.items())
+        )
     return violations
 
 
@@ -132,20 +176,16 @@ def main(argv: list[str] | None = None) -> int:
     violations = check_package(args.package)
     for line in violations:
         print(line)
-    if violations and not args.list:
+    if violations:
         print(
-            f"{len(violations)} layering violation(s); allowed importers: "
-            + "; ".join(
-                f"{prefix} <- {', '.join(allowed)}"
-                for prefix, allowed in RULES
-            ),
-            file=sys.stderr,
+            f"{len(violations)} layering violation(s); layers, lowest "
+            "first: " + " < ".join(LAYERS),
+            file=sys.stdout if args.list else sys.stderr,
         )
-        return 1
+        return 0 if args.list else 1
     print(
-        "import layering OK: "
-        + ", ".join(prefix for prefix, _allowed in RULES)
-        + " imported only from their allowed packages"
+        f"import layering OK: {len(LAYERS)} layers, each importing "
+        "only itself and the layers below it"
     )
     return 0
 
