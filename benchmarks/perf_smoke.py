@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Performance smoke test: backend and batching speedups, gated.
+"""Performance smoke test: simulator and batching speedups, gated.
 
 Two experiments, both writing into ``BENCH_engine.json`` at the repo
 root so future PRs can track the trajectory:
@@ -14,16 +14,18 @@ its jobs, bit-identically between serial and ``jobs=4`` sessions.
 * **fig3 single-evaluation** — the 12 (chip, benchmark) jobs of one
   fig3-style evaluation (scenario A at HP mode — the heaviest
   per-access workload: BigBench on all eight ways), each run alone
-  through ``execute_job`` on the vectorized vs the reference backend,
-  checked to render the same evaluation (``speedup``).  No session
-  runs them, so no job shares a simulation with another and the ratio
-  compares the two backends on the same work.
+  through ``execute_job`` (the vectorized engine, which the engine
+  picks for these LRU chips) vs ``Chip.run``'s default simulator (the
+  behavioural reference model), checked to render the same evaluation
+  (``speedup``).  No session runs them, so no job shares a simulation
+  with another and the ratio compares the two simulators on the same
+  work.
 * **design-space sweep** — ``SWEEP_CANDIDATES`` ULE operating points
   evaluated over the shared ULE traces on one chip config, the shape
   the paper's Vdd/EDC design-space exploration submits.  The
   mega-batched session path (trace-grouped plan reuse + functional-
   simulation memoization) is timed against (a) a per-job vectorized
-  loop (``batch_vs_perjob``) and (b) the reference backend,
+  loop (``batch_vs_perjob``) and (b) the behavioural reference model,
   extrapolated from one fully-timed candidate — re-running all
   candidates through the per-access reference model would take minutes
   for no extra information (``sweep_speedup``).  Batched results are
@@ -56,6 +58,7 @@ import json
 import pathlib
 import sys
 import time
+from typing import Callable
 
 from repro.core.calibration import DEFAULT_SEED
 from repro.core.evaluation import (
@@ -65,7 +68,14 @@ from repro.core.evaluation import (
     cached_design,
 )
 from repro.core.scenarios import Scenario
-from repro.engine.jobs import SimulationJob, TraceSpec, execute_job
+from repro.cpu.chip import RunResult
+from repro.engine.jobs import (
+    SimulationJob,
+    TraceSpec,
+    chip_for,
+    execute_job,
+    trace_for,
+)
 from repro.engine.session import SimulationSession
 from repro.tech.operating import Mode, OperatingPoint
 from repro.workloads.suites import suite_for_mode
@@ -73,7 +83,7 @@ from repro.workloads.suites import suite_for_mode
 #: Floor on the end-to-end evaluation speedup (observed ~20x).
 MIN_SPEEDUP = 5.0
 
-#: Floor on the batched sweep vs the reference backend (observed
+#: Floor on the batched sweep vs the reference model (observed
 #: several hundred x: the reference walks every access per candidate,
 #: the batched path simulates each (trace, config) once per sweep).
 MIN_SWEEP_SPEEDUP = 100.0
@@ -125,14 +135,22 @@ RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / (
 SURROGATE_RESULT_PATH = RESULT_PATH.parent / "BENCH_surrogate.json"
 
 
+def _reference_run(job: SimulationJob) -> RunResult:
+    """Run one job on ``Chip.run``'s default, the behavioural model."""
+    return chip_for(job.chip).run(
+        trace_for(job.trace), job.mode, operating_point=job.operating_point
+    )
+
+
 def _timed_evaluation(
-    backend: str, trace_length: int
+    run: Callable[[SimulationJob], RunResult], trace_length: int
 ) -> tuple[float, ScenarioEvaluation]:
     """Wall-clock the jobs of one fig3 evaluation, one at a time.
 
-    Returns the seconds spent in ``execute_job`` and the evaluation its
-    results make.  Traces are generated (and memoized per process)
-    inside the first timed run.
+    ``run`` executes one job (``execute_job`` or :func:`_reference_run`).
+    Returns the seconds spent in it and the evaluation its results
+    make.  Traces are generated (and memoized per process) inside the
+    first timed run.
     """
     benchmarks = suite_for_mode(Mode.HP)
     chips = cached_chips(Scenario.A).pair()
@@ -146,7 +164,7 @@ def _timed_evaluation(
         for chip in chips
     ]
     start = time.perf_counter()
-    results = [execute_job(job, backend=backend) for job in jobs]
+    results = [run(job) for job in jobs]
     seconds = time.perf_counter() - start
     rows = tuple(
         BenchmarkComparison(
@@ -201,7 +219,7 @@ def _timed_sweep(trace_length: int, candidates: int) -> dict:
     """Measure the mega-batched sweep path against both comparators.
 
     Returns the sweep metric fields of the benchmark record.  The
-    reference-backend time is measured on one candidate's jobs and
+    reference-model time is measured on one candidate's jobs and
     extrapolated linearly — the reference model has no cross-candidate
     sharing, so its sweep cost is exactly per-candidate cost times the
     candidate count.
@@ -225,7 +243,7 @@ def _timed_sweep(trace_length: int, candidates: int) -> dict:
 
     start = time.perf_counter()
     for job in jobs[:per_candidate]:
-        execute_job(job, backend="reference")
+        _reference_run(job)
     reference_candidate_seconds = time.perf_counter() - start
     reference_seconds = reference_candidate_seconds * candidates
 
@@ -536,14 +554,14 @@ def main(argv: list[str] | None = None) -> int:
     # reference run inherits the memoized traces — conservative for the
     # reported speedup.
     vectorized_seconds, vectorized = _timed_evaluation(
-        "vectorized", args.trace_length
+        execute_job, args.trace_length
     )
     reference_seconds, reference = _timed_evaluation(
-        "reference", args.trace_length
+        _reference_run, args.trace_length
     )
 
     if reference.render() != vectorized.render():
-        print("FAIL: backends rendered different tables", file=sys.stderr)
+        print("FAIL: simulators rendered different tables", file=sys.stderr)
         return 1
 
     sweep = _timed_sweep(args.sweep_trace_length, args.sweep_candidates)
@@ -638,7 +656,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"OK: {name} within {REGRESSION_TOLERANCE:.0%} of "
                 f"baseline {reference_metric:.1f}x"
             )
-    print(f"OK: vectorized backend {speedup:.1f}x faster (floor "
+    print(f"OK: vectorized engine {speedup:.1f}x faster (floor "
           f"{MIN_SPEEDUP}x)")
     print(
         f"OK: batched sweep {sweep['sweep_speedup']:.1f}x over the "

@@ -5,7 +5,7 @@ Usage::
     python -m repro list
     python -m repro run fig4
     python -m repro run fig3 --trace-length 60000 --out fig3.txt
-    python -m repro run fig3 --jobs 4 --backend vectorized
+    python -m repro run fig3 --jobs 4
     python -m repro design A
     python -m repro all --jobs 4 --out-dir results/
     python -m repro run fig4 --profile
@@ -29,9 +29,6 @@ Engine options (``run``, ``all``, ``sweep``, ``schedule``,
 ``population`` and ``transients``):
 
 * ``--jobs N`` — dispatch independent work across N processes;
-* ``--backend {auto,vectorized,reference}`` — simulation backend
-  (bit-identical; "auto" picks the vectorized fast path where it
-  applies);
 * ``--cache-dir DIR`` — memoize simulation results on disk, keyed by a
   content hash of the full job description;
 * ``--profile`` — print per-phase wall-clock (trace generation,
@@ -57,6 +54,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0")
     return value
 
 
@@ -175,10 +179,6 @@ _SHARED_FLAGS: dict[str, dict] = {
         type=_positive_int, default=1,
         help="worker processes for independent jobs",
     ),
-    "--backend": dict(
-        choices=("auto", "vectorized", "reference"), default="auto",
-        help="simulation backend",
-    ),
     "--cache-dir": dict(
         type=pathlib.Path, default=None,
         help=(
@@ -205,7 +205,7 @@ _SHARED_FLAGS: dict[str, dict] = {
     ),
 }
 
-_ENGINE = ("--jobs", "--backend", "--cache-dir", "--profile")
+_ENGINE = ("--jobs", "--cache-dir", "--profile")
 _REPORT = ("--out", "--save-json")
 _TRANSIENT = ("--transient-accel", "--scrub-us")
 
@@ -292,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument(
-        "--dies", type=int, default=0,
+        "--dies", type=_non_negative_int, default=0,
         help=(
             "evaluate each candidate across a sampled die population "
             "and rank by p95-across-die (default: 0 = nominal die)"
@@ -471,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "shed with reason 'quota' (default: unlimited)"
         ),
     )
-    _flags(serve, "--host", "--port", "--cache-dir", "--backend")
+    _flags(serve, "--host", "--port", "--cache-dir")
 
     submit = command(
         "submit", _cmd_submit,
@@ -721,9 +721,7 @@ def _simulating(handler):
                 file=sys.stderr,
             )
             jobs = 1
-        session = SimulationSession(
-            jobs=jobs, backend=args.backend, cache_dir=args.cache_dir
-        )
+        session = SimulationSession(jobs=jobs, cache_dir=args.cache_dir)
         with session, use_session(session):
             if not args.profile:
                 return handler(args, session)
@@ -950,7 +948,7 @@ def _resumed_metrics(args: argparse.Namespace, campaign, seed: int):
         for key, wanted in (
             ("trace_length", args.trace_length),
             ("seed", seed),
-            ("dies", max(args.dies, 0)),
+            ("dies", campaign.dies),
         )
         if meta.get(key) != wanted
     ]
@@ -1042,18 +1040,6 @@ def _cmd_sweep(args: argparse.Namespace, session) -> int:
                 f"{', '.join(CANDIDATE_AXES)}"
             )
         space = space.with_overrides(args.axes)
-    if args.backend == "vectorized":
-        non_lru = sorted(
-            str(policy)
-            for axis in space.axes if axis.name == "replacement"
-            for policy in axis.values if str(policy).lower() != "lru"
-        )
-        if non_lru:
-            raise ValueError(
-                f"--backend {args.backend} models LRU replacement only, "
-                f"but the space sweeps {non_lru}; use --backend auto "
-                "(falls back per candidate)"
-            )
     seed = _seed(args)
     carbon_intensity = None
     if args.carbon is not None:
@@ -1066,7 +1052,7 @@ def _cmd_sweep(args: argparse.Namespace, session) -> int:
         samples=args.samples,
         trace_length=args.trace_length,
         seed=seed,
-        dies=max(args.dies, 0),
+        dies=args.dies,
         transients=_transient_spec(args, seed),
         carbon_intensity=carbon_intensity,
     )
@@ -1210,7 +1196,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     scheduler = ServiceScheduler(
         store,
         workers=args.workers,
-        backend=args.backend,
         queue_capacity=args.queue_capacity,
         tenant_quota=args.tenant_quota,
     )

@@ -31,7 +31,7 @@ TAG_BITS = 26
 
 #: Replacement policies a configuration may name (see
 #: :mod:`repro.cache.replacement`).  Only LRU has a vectorized fast path;
-#: the others fall back to the reference backend automatically.
+#: the engine runs the others on the behavioural model.
 REPLACEMENT_POLICIES = ("lru", "fifo", "plru", "random")
 
 
@@ -196,7 +196,7 @@ class CacheConfig:
         way_groups: the way groups, HP group(s) first by convention.
         replacement: replacement policy name (see
             :data:`REPLACEMENT_POLICIES`); non-LRU policies simulate on
-            the reference backend.
+            the behavioural model.
     """
 
     name: str

@@ -103,8 +103,9 @@ def simulate_reference(
     """Stream ``addresses`` through a fresh cache in ``mode``.
 
     The behavioural per-access loop (any replacement policy): the
-    default simulator of :meth:`repro.cpu.chip.Chip.run` and the
-    engine's ``"reference"`` backend.  ``is_write`` None = all reads.
+    default simulator of :meth:`repro.cpu.chip.Chip.run` and the one
+    the engine runs for every policy but LRU.  ``is_write`` None = all
+    reads.
     """
     cache = HybridCache(
         config,

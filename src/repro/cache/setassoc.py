@@ -58,7 +58,7 @@ class SetAssociativeCache:
             upset draw of its stored word in its scrub interval and is
             classified into the transient counters of
             :class:`~repro.cache.stats.CacheStats` — bit-identically to
-            the vectorized backend, which shares the sampler.
+            the vectorized engine, which shares the sampler.
     """
 
     def __init__(

@@ -161,11 +161,6 @@ def cached_chips(scenario: Scenario) -> ScenarioChips:
     return build_chips(cached_design(scenario))
 
 
-# Backwards-compatible private aliases (used before the rename).
-_cached_design = cached_design
-_cached_chips = cached_chips
-
-
 def _trace_handle(
     spec: BenchmarkSpec, trace_length: int, seed: int
 ) -> TraceSpec | Trace:

@@ -2,7 +2,7 @@
 
 :class:`Chip.run` is the reproduction's MPSim: it streams a trace through
 the functional caches (the behavioural model by default; the engine
-passes its backends in as ``simulate=``), derives the cycle count from
+passes its simulator in as ``simulate=``), derives the cycle count from
 the timing model, and prices every event with the CACTI-like energy
 models — producing the energy-per-instruction (EPI) breakdowns of the
 paper's Figures 3 and 4.
@@ -158,7 +158,7 @@ class Chip:
         ``simulate`` is the functional simulation, a callable with
         :func:`repro.cache.hybrid.simulate_reference`'s signature (the
         default: the behavioural per-access model).  The engine passes
-        its backends and its batch wrapper, which reuses per-trace
+        its simulator and its batch wrapper, which reuses per-trace
         plans and memoizes identical functional simulations; everything
         downstream (timing, energy, the result record) is shared code,
         which is what keeps every simulator bit-identical to this one.

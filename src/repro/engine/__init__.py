@@ -4,10 +4,10 @@ The engine layer sits between the behavioural cache model and the
 evaluation pipeline (see DESIGN.md section 5):
 
 * :mod:`repro.engine.backends` — one entry point,
-  :func:`simulate_cache`, with interchangeable bit-identical backends:
-  the behavioural reference model and the batched numpy engine.  The
-  engine binds a backend into it and passes it to
-  :meth:`repro.cpu.chip.Chip.run` as ``simulate=``.
+  :func:`simulate_cache`, which picks one of two bit-identical
+  simulators from the replacement policy: the batched numpy engine for
+  LRU, the behavioural reference model for any other policy.  The
+  engine passes it to :meth:`repro.cpu.chip.Chip.run` as ``simulate=``.
 * :mod:`repro.engine.vectorized` — the fast path: whole-trace decode,
   per-set stream extraction and run-collapsed LRU kernels.
 * :mod:`repro.engine.plan` — :class:`StreamPlan`: the trace-dependent
@@ -33,7 +33,6 @@ the workers need) leaves the session and its process pool unloaded.
 from __future__ import annotations
 
 __all__ = [
-    "BACKENDS",
     "SimulationJob",
     "SimulationSession",
     "StreamPlan",
@@ -48,7 +47,6 @@ __all__ = [
 ]
 
 _LAZY_EXPORTS = {
-    "BACKENDS": ("repro.engine.backends", "BACKENDS"),
     "simulate_cache": ("repro.engine.backends", "simulate_cache"),
     "SimulationJob": ("repro.engine.jobs", "SimulationJob"),
     "TraceSpec": ("repro.workloads.mediabench", "TraceSpec"),

@@ -1,20 +1,20 @@
-"""Backend selection for functional cache simulation.
+"""Simulator selection for functional cache simulation.
 
-Three interchangeable backends produce :class:`CacheStats` for an access
-stream on a fresh cache in a fixed mode:
+Two bit-identical simulators produce :class:`CacheStats` for an access
+stream on a fresh cache in a fixed mode, and :func:`simulate_cache`
+picks one from the replacement policy alone:
 
-* ``"reference"`` — the behavioural per-access model
+* a policy named LRU (any case) runs the batched numpy engine
+  (:mod:`repro.engine.vectorized`), bit-identical to the behavioural
+  model for LRU runs and an order of magnitude faster;
+* every other policy name, and every
+  :class:`~repro.cache.replacement.ReplacementPolicy` instance, runs
+  the behavioural per-access model
   (:func:`repro.cache.hybrid.simulate_reference`), valid for any
-  replacement policy and the ground truth for equivalence testing;
-* ``"vectorized"`` — the batched numpy engine
-  (:mod:`repro.engine.vectorized`), bit-identical for LRU runs with a
-  static way mask and an order of magnitude faster;
-* ``"auto"`` — resolves per request: the vectorized engine for LRU
-  simulations (the fast path's contract), the reference model for any
-  other replacement policy.
+  replacement policy and the ground truth for equivalence testing.
 
-The engine binds a backend into :func:`simulate_cache` and passes it
-as :meth:`repro.cpu.chip.Chip.run`'s ``simulate=``.  Batched callers
+The engine passes :func:`simulate_cache` as
+:meth:`repro.cpu.chip.Chip.run`'s ``simulate=``.  Batched callers
 (:mod:`repro.engine.batch`) also pass a precomputed
 :class:`repro.engine.plan.StreamPlan` via ``plan=`` so one trace's
 decode/sort/run-collapse is shared across many simulations.
@@ -33,20 +33,10 @@ from repro.engine.vectorized import simulate_trace_vectorized
 from repro.tech.operating import Mode
 from repro.util.profiling import phase
 
-#: Recognized backend names (``auto`` resolves per call).
-BACKENDS = ("auto", "vectorized", "reference")
 
-
-def resolve_backend(backend: str, policy: str | ReplacementPolicy) -> str:
-    """Pick the concrete backend for a simulation request."""
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; known: {list(BACKENDS)}"
-        )
-    if backend != "auto":
-        return backend
-    vectorizable = isinstance(policy, str) and policy.lower() == "lru"
-    return "vectorized" if vectorizable else "reference"
+def vectorizable(policy: str | ReplacementPolicy) -> bool:
+    """Whether ``policy`` runs on the vectorized engine (LRU by name)."""
+    return isinstance(policy, str) and policy.lower() == "lru"
 
 
 def simulate_cache(
@@ -56,7 +46,6 @@ def simulate_cache(
     is_write: np.ndarray | None = None,
     policy: str | ReplacementPolicy = "lru",
     seed: int = 0,
-    backend: str = "auto",
     disabled_lines: tuple[tuple[int, int], ...] = (),
     transients=None,
     plan: StreamPlan | None = None,
@@ -68,29 +57,22 @@ def simulate_cache(
         mode: operating mode (fixed for the whole stream).
         addresses: byte addresses in program order.
         is_write: per-access write flags (None = all reads, e.g. fetch).
-        policy: replacement policy name or instance (instances force the
-            reference backend — the fast path models LRU only).
-        seed: seed for the random policy (reference backend).
-        backend: "auto", "vectorized" or "reference".
+        policy: replacement policy name or instance; see
+            :func:`vectorizable` for which simulator runs it.
+        seed: seed for the random policy (behavioural model).
         disabled_lines: hard-fault-map ``(set, way)`` pairs of this
             array in this mode (see :mod:`repro.faults.maps`); both
-            backends honour them bit-identically.
+            simulators honour them bit-identically.
         transients: optional soft-error sampler
             (:class:`repro.transients.sampling.TransientSampler`) for
             this array in this mode; read hits are classified into the
-            transient counters, bit-identically across backends.
+            transient counters, bit-identically in both simulators.
         plan: optional precomputed
             :class:`~repro.engine.plan.StreamPlan` of this exact
             stream under this config's geometry (batched callers only;
-            ignored by the reference backend).
+            ignored by the behavioural model).
     """
-    chosen = resolve_backend(backend, policy)
-    if chosen == "vectorized":
-        if not (isinstance(policy, str) and policy.lower() == "lru"):
-            raise ValueError(
-                "the vectorized backend models LRU replacement only; "
-                "use backend='reference' for other policies"
-            )
+    if vectorizable(policy):
         with phase("simulate.vectorized"):
             return simulate_trace_vectorized(
                 config, mode, addresses, is_write,

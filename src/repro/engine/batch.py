@@ -99,7 +99,7 @@ def _functional_key(config, mode) -> tuple:
     """What one functional simulation reads from a cache config.
 
     The decode geometry, the mode's way mask and each way's group name
-    fix every counter the backends produce: bitcells, protection
+    fix every counter the simulators produce: bitcells, protection
     schemes, supply and the configuration's name never change a hit or
     a miss.  (Transient injection reads more of the config; the
     sampler's :attr:`~repro.transients.sampling.TransientSampler.
@@ -142,14 +142,12 @@ class _SharedTraceContext:
       phase under ``--profile`` makes that visible next to
       ``batch.kernel``.
 
-    ``backend`` is the one every simulation of the group runs on.
     Scoped to one group on purpose: nothing outlives the batch, so
     runtime model changes (monkeypatching in tests, hot reloads) can
     never be served stale functional results across batches.
     """
 
-    def __init__(self, backend: str) -> None:
-        self._backend = backend
+    def __init__(self) -> None:
         self._plans: dict[tuple, object] = {}
         self._memo: dict[tuple, object] = {}
         # Pin the streams behind the id()-based keys: a recycled id
@@ -168,7 +166,6 @@ class _SharedTraceContext:
         transients=None,
     ):
         """Drop-in for :func:`repro.engine.backends.simulate_cache`."""
-        chosen = backends.resolve_backend(self._backend, policy)
         stream = (
             id(addresses),
             id(is_write) if is_write is not None else None,
@@ -195,7 +192,7 @@ class _SharedTraceContext:
                 with phase("batch.memo"):
                     return _isolated(hit)
         plan = None
-        if chosen == "vectorized" and len(addresses):
+        if backends.vectorizable(policy) and len(addresses):
             plan_key = (stream, geometry_key(config))
             plan = self._plans.get(plan_key)
             if plan is None:
@@ -208,7 +205,6 @@ class _SharedTraceContext:
             is_write,
             policy=policy,
             seed=seed,
-            backend=self._backend,
             disabled_lines=disabled_lines,
             transients=transients,
             plan=plan,
@@ -220,7 +216,6 @@ class _SharedTraceContext:
 
 def execute_group(
     jobs: Sequence[SimulationJob],
-    backend: str = "auto",
     on_result: Callable[[RunResult], None] | None = None,
 ) -> list[RunResult]:
     """Run one same-trace job group with shared precomputation.
@@ -238,7 +233,7 @@ def execute_group(
     if not jobs:
         return results
     trace = trace_for(jobs[0].trace)
-    context = _SharedTraceContext(backend)
+    context = _SharedTraceContext()
     for job in jobs:
         chip = chip_for(job.chip)
         with phase("jobs.execute"):

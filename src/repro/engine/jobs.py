@@ -13,10 +13,9 @@ accepted for ad-hoc, ingested and mixed streams.  Chips travel as
 memoized — per process.
 
 ``job_key`` derives a content hash over everything that determines the
-result.  The simulation *backend* is not part of a job: whoever
-executes it chooses one, and backends are bit-identical by contract
-(enforced by ``tests/engine``), so results are shared across backend
-choices.
+result.  Which simulator runs a job is not part of it: the engine picks
+one from the replacement policy, and both are bit-identical by contract
+(enforced by ``tests/engine``).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import hashlib
 import pathlib
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from repro.cpu.chip import Chip, ChipConfig, RunResult
 from repro.cpu.trace import Trace
@@ -191,7 +190,7 @@ def _transient_token(spec: TransientSpec | None) -> str:
 
 
 def job_key(job: SimulationJob) -> str:
-    """Content hash identifying a job's result (backend-independent).
+    """Content hash identifying a job's result.
 
     The sha256 of the ``\\x1f``-joined tokens: cache version, code
     fingerprint, chip, trace, mode, operating point, fault map and
@@ -254,7 +253,7 @@ def trace_for(trace: TraceSpec | Trace) -> Trace:
     return resolved
 
 
-def execute_job(job: SimulationJob, backend: str = "auto") -> RunResult:
+def execute_job(job: SimulationJob) -> RunResult:
     """Run one job to completion, alone.
 
     The per-job reference: sessions and the service execute through
@@ -270,5 +269,5 @@ def execute_job(job: SimulationJob, backend: str = "auto") -> RunResult:
             operating_point=job.operating_point,
             fault_map=job.fault_map,
             transients=job.transients,
-            simulate=partial(backends.simulate_cache, backend=backend),
+            simulate=backends.simulate_cache,
         )

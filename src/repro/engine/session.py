@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from repro.cpu.chip import RunResult
-from repro.engine.backends import BACKENDS
 from repro.engine.batch import (
     execute_group,
     group_by_trace,
@@ -95,10 +94,6 @@ class SimulationSession:
     ----------
     jobs : int
         Worker processes for independent jobs (1 = in-process).
-    backend : {"auto", "vectorized", "reference"}
-        Default simulation backend for submitted jobs (all backends
-        are bit-identical; "auto" picks the vectorized fast path where
-        it applies).
     cache_dir : path-like, optional
         Enable the content-hash-keyed on-disk result store rooted
         here (:func:`repro.engine.store.generation_store`), shared
@@ -153,17 +148,11 @@ class SimulationSession:
     def __init__(
         self,
         jobs: int = 1,
-        backend: str = "auto",
         cache_dir: str | os.PathLike | None = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; known: {list(BACKENDS)}"
-            )
         self.jobs = jobs
-        self.backend = backend
         self.stats = SessionStats()
         self._memo: dict[str, RunResult] = {}
         self._pool: ProcessPoolExecutor | None = None
@@ -268,7 +257,6 @@ class SimulationSession:
                 self._pool.submit(
                     execute_group,
                     [jobs[index] for index in chunk],
-                    backend=self.backend,
                 ): chunk
                 for chunk in partition_for_dispatch(jobs, self.jobs)
             }
@@ -281,7 +269,6 @@ class SimulationSession:
         for group in group_by_trace(jobs):
             group_results = execute_group(
                 [jobs[index] for index in group],
-                backend=self.backend,
                 on_result=_advance,
             )
             for index, result in zip(group, group_results):

@@ -8,9 +8,10 @@ registered scheduling policies, replays the same phased sensor-node
 trace under every combination, and reduces the outcomes to a Pareto
 frontier over (energy, time): which *policy* deserves which *hardware*.
 
-Everything batches through the engine's current session, so ``--jobs``,
-``--backend`` and ``--cache-dir`` apply transparently and recurring
-epochs deduplicate across candidates and policies.
+Everything batches through the engine's current session, so ``--jobs``
+and ``--cache-dir`` apply transparently and recurring epochs
+deduplicate across candidates and policies.  Non-LRU policies simulate
+on the behavioural model, which the engine picks per job.
 """
 
 from __future__ import annotations

@@ -113,7 +113,7 @@ def run_experiments(
     others' finished work.
 
     Each experiment runs in its own worker with a serial inner session
-    using ``session``'s backend and disk cache, so process counts stay
+    using ``session``'s disk cache, so process counts stay
     bounded by ``session.jobs`` whatever the drivers submit internally,
     while results are still shared across experiments (and
     invocations) through the disk cache.  The serial path runs under
@@ -135,7 +135,6 @@ def run_experiments(
             (
                 experiment_id,
                 kwargs_by_id.get(experiment_id, {}),
-                session.backend,
                 cache_dir,
             )
             for experiment_id in experiment_ids
@@ -181,12 +180,10 @@ def run_experiments(
 
 
 def _execute_experiment(
-    item: tuple[str, dict, str, os.PathLike | None]
+    item: tuple[str, dict, os.PathLike | None]
 ) -> tuple[str, ExperimentResult]:
     """Worker: run one registry experiment under a serial session."""
-    experiment_id, kwargs, backend, cache_dir = item
-    session = SimulationSession(
-        jobs=1, backend=backend, cache_dir=cache_dir
-    )
+    experiment_id, kwargs, cache_dir = item
+    session = SimulationSession(jobs=1, cache_dir=cache_dir)
     with use_session(session):
         return experiment_id, run_experiment(experiment_id, **kwargs)

@@ -12,7 +12,7 @@ stated analytically.  This experiment makes it executable on both axes:
 * **trace-observed recovery accounting** at the paper's ULE point:
   corrected / refetched / DUE / SDC reads, the recovery-stall share
   and the injection EPI overhead of each chip, simulated through the
-  engine (so backends, dedup and caching all apply).
+  engine (so the vectorized engine, dedup and caching all apply).
 
 The two chips of the scenario differ only in the ULE way's code, so
 the table is a direct SECDED-vs-DECTED comparison under identical

@@ -617,6 +617,12 @@ class ExplorationCampaign:
     transients: TransientSpec | None = None
     carbon_intensity: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.dies < 0:
+            raise ValueError(
+                f"dies must be at least 0 (0 = nominal die), got {self.dies}"
+            )
+
     def _transient_spec(self) -> TransientSpec | None:
         """The effective injection spec (null specs act like None)."""
         return TransientSpec.effective(self.transients)
@@ -647,6 +653,9 @@ class ExplorationCampaign:
         identical hardware under identical runs collapse before
         simulation, while hardware-equal points at different supplies
         (whose energies differ) both survive.
+
+        Raises ValueError when no candidate survives: a campaign over
+        an empty space has nothing to rank.
         """
         candidates: list[Candidate] = []
         infeasible: list[tuple[str, str]] = []
@@ -670,6 +679,18 @@ class ExplorationCampaign:
                 continue
             seen.add(key)
             candidates.append(candidate)
+        if not candidates:
+            if not infeasible:
+                raise ValueError(
+                    "the design space admits no candidate: no point "
+                    "passes its constraints"
+                )
+            point, reason = infeasible[0]
+            raise ValueError(
+                "the design space admits no candidate: all "
+                f"{len(infeasible)} point(s) are infeasible, e.g. "
+                f"{point}: {reason}"
+            )
         return candidates, infeasible, duplicates
 
     # ------------------------------------------------------------- running

@@ -187,8 +187,6 @@ class ServiceScheduler:
         Background worker threads, each running one same-trace group
         at a time.  0 disables background execution — tests drive the
         queue deterministically with :meth:`run_next`.
-    backend : str
-        Engine backend for executed jobs (bit-identical by contract).
     queue_capacity : int, optional
         Most jobs queued at once; new work beyond it sheds with reason
         ``"saturated"``.  None leaves the queue unbounded.
@@ -218,7 +216,6 @@ class ServiceScheduler:
         store: ShardedResultStore | None = None,
         *,
         workers: int = 2,
-        backend: str = "auto",
         queue_capacity: int | None = 256,
         tenant_quota: int | None = None,
         weights: Mapping[str, float] | None = None,
@@ -238,16 +235,13 @@ class ServiceScheduler:
             raise ValueError("queue_capacity must be at least 1 (or None)")
         self.store = store
         self.workers = workers
-        self.backend = backend
         self.queue_capacity = queue_capacity
         self.tenant_quota = tenant_quota
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.retry_after = retry_after
         self.stats = SchedulerStats()
-        self._execute = execute or (
-            lambda jobs: execute_group(jobs, backend=backend)
-        )
+        self._execute = execute or execute_group
         self._clock = clock
         self._queue = WeightedFairQueue()
         for tenant, weight in (weights or {}).items():

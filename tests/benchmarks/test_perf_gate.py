@@ -57,8 +57,8 @@ def perf_smoke(monkeypatch):
         def render() -> str:
             return "identical tables"
 
-    def fake_timed(backend, trace_length):
-        seconds = 0.1 if backend == "vectorized" else 2.0  # 20x
+    def fake_timed(run, trace_length):
+        seconds = 0.1 if run is module.execute_job else 2.0  # 20x
         return seconds, _FakeEvaluation()
 
     monkeypatch.setattr(module, "_timed_evaluation", fake_timed)

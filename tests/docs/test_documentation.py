@@ -65,6 +65,32 @@ class TestDocsTree:
                 f"docs/cli.md's {flag} row does not quote its help text"
             )
 
+    def test_documented_flags_are_accepted(self):
+        """Each flag row in docs/cli.md and README's flag table names
+        an option some subcommand's parser accepts."""
+        import argparse
+
+        from repro.__main__ import _build_parser
+
+        def options(parser):
+            for action in parser._actions:
+                yield from action.option_strings
+                if isinstance(action, argparse._SubParsersAction):
+                    for subparser in action.choices.values():
+                        yield from options(subparser)
+
+        accepted = set(options(_build_parser()))
+        for page in ("docs/cli.md", "README.md"):
+            for line in (REPO / page).read_text(
+                encoding="utf-8"
+            ).splitlines():
+                if line.startswith("| `--"):
+                    flag = line.split("`")[1].split()[0]
+                    assert flag in accepted, (
+                        f"{page} documents {flag}, which no subcommand "
+                        "accepts"
+                    )
+
     def test_reproducing_maps_every_paper_artifact(self):
         text = (REPO / "docs" / "reproducing.md").read_text(
             encoding="utf-8"

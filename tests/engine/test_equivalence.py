@@ -1,16 +1,16 @@
-"""Engine equivalence: the vectorized backend must be bit-identical.
+"""Engine equivalence: the vectorized engine must be bit-identical.
 
-The contract of :mod:`repro.engine` is that backends are interchangeable:
-for any fresh-cache, static-mask, LRU simulation the vectorized engine
-produces *exactly* the counters of the behavioural reference model — and
-therefore identical timing and energy ledgers at the chip level.  These
-tests pin that contract across modes, way splits, benchmarks and random
-streams (hypothesis).
+The contract of :mod:`repro.engine` is that its two simulators are
+interchangeable: for any fresh-cache, static-mask, LRU simulation the
+vectorized engine produces *exactly* the counters of the behavioural
+reference model — and therefore identical timing and energy ledgers at
+the chip level.  These tests pin that contract across modes, way splits,
+benchmarks and random streams (hypothesis), and pin which simulator
+:func:`~repro.engine.backends.simulate_cache` picks for each policy.
 """
 
 import inspect
 import pickle
-from functools import partial
 
 import numpy as np
 import pytest
@@ -18,25 +18,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.config import CacheConfig, WayGroupConfig
 from repro.cache.hybrid import simulate_reference
+from repro.cache.replacement import LruPolicy, PlruPolicy
 from repro.core.architect import build_cache_pair, build_chips
 from repro.cpu.chip import Chip
 from repro.edc.protection import ProtectionScheme
-from repro.engine.backends import resolve_backend, simulate_cache
+from repro.engine import backends
+from repro.engine.backends import simulate_cache
 from repro.engine.jobs import SimulationJob, TraceSpec, execute_job
+from repro.engine.vectorized import simulate_trace_vectorized
 from repro.tech.operating import Mode, OperatingPoint
 from repro.workloads.mediabench import generate_trace
 
-#: ``Chip.run``'s ``simulate=`` for the vectorized engine.
-VECTORIZED = partial(simulate_cache, backend="vectorized")
 
-
-def _both_backends(config, mode, addresses, is_write=None):
-    reference = simulate_cache(
-        config, mode, addresses, is_write, backend="reference"
-    )
-    vectorized = simulate_cache(
-        config, mode, addresses, is_write, backend="vectorized"
-    )
+def _both_simulators(config, mode, addresses, is_write=None):
+    reference = simulate_reference(config, mode, addresses, is_write)
+    vectorized = simulate_trace_vectorized(config, mode, addresses, is_write)
     return reference, vectorized
 
 
@@ -55,29 +51,67 @@ def _assert_stats_identical(reference, vectorized):
 
 
 class TestBackendResolution:
-    def test_auto_picks_vectorized_for_lru(self):
-        assert resolve_backend("auto", "lru") == "vectorized"
+    """``simulate_cache`` picks the simulator from the policy alone:
+    the vectorized kernel for a policy named LRU, the behavioural model
+    for every other name and for every policy instance."""
 
-    def test_auto_falls_back_for_other_policies(self):
-        assert resolve_backend("auto", "plru") == "reference"
-        assert resolve_backend("auto", "fifo") == "reference"
-        assert resolve_backend("auto", "random") == "reference"
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        real = backends.simulate_trace_vectorized
 
-    def test_unknown_backend_rejected(self):
-        for backend in ("turbo", "numba"):
-            with pytest.raises(ValueError):
-                simulate_cache(None, Mode.HP, np.array([0]), backend=backend)
+        def counting(*args, **kwargs):
+            calls.append(args[0].name)
+            return real(*args, **kwargs)
 
-    def test_vectorized_rejects_non_lru(self, design_a):
+        monkeypatch.setattr(backends, "simulate_trace_vectorized", counting)
+        return calls
+
+    @staticmethod
+    def _inputs(design_a):
         _, proposed = build_cache_pair(design_a)
-        with pytest.raises(ValueError):
-            simulate_cache(
-                proposed,
-                Mode.HP,
-                np.array([0], dtype=np.uint64),
-                policy="plru",
-                backend="vectorized",
+        rng = np.random.default_rng(17)
+        addresses = rng.integers(0, 1 << 14, size=3_000, dtype=np.uint64)
+        return proposed, addresses, rng.random(3_000) < 0.3
+
+    def test_auto_picks_vectorized_for_lru(self, design_a, kernel_calls):
+        config, addresses, is_write = self._inputs(design_a)
+        for count, policy in enumerate(("lru", "LRU"), start=1):
+            got = simulate_cache(
+                config, Mode.ULE, addresses, is_write, policy=policy
             )
+            assert len(kernel_calls) == count
+            _assert_stats_identical(
+                simulate_reference(
+                    config, Mode.ULE, addresses, is_write, policy=policy
+                ),
+                got,
+            )
+
+    def test_auto_falls_back_for_other_policies(
+        self, design_a, kernel_calls
+    ):
+        config, addresses, is_write = self._inputs(design_a)
+        for make_policy in (
+            lambda: "plru",
+            lambda: "fifo",
+            lambda: "random",
+            # Instances, even of LRU, run on the behavioural model.
+            lambda: LruPolicy(config.ways),
+            lambda: PlruPolicy(config.ways),
+        ):
+            got = simulate_cache(
+                config, Mode.ULE, addresses, is_write,
+                policy=make_policy(), seed=3,
+            )
+            _assert_stats_identical(
+                simulate_reference(
+                    config, Mode.ULE, addresses, is_write,
+                    policy=make_policy(), seed=3,
+                ),
+                got,
+            )
+        assert kernel_calls == []
 
 
 class TestStatsEquivalence:
@@ -89,11 +123,11 @@ class TestStatsEquivalence:
         config = baseline if which == "baseline" else proposed
         trace = generate_trace("gsm_c", length=20_000, seed=7)
 
-        reference, vectorized = _both_backends(config, mode, trace.pc)
+        reference, vectorized = _both_simulators(config, mode, trace.pc)
         _assert_stats_identical(reference, vectorized)
 
         addresses, is_write = trace.memory_stream()
-        reference, vectorized = _both_backends(
+        reference, vectorized = _both_simulators(
             config, mode, addresses, is_write
         )
         _assert_stats_identical(reference, vectorized)
@@ -108,14 +142,14 @@ class TestStatsEquivalence:
         trace = generate_trace("epic_c", length=12_000, seed=11)
         addresses, is_write = trace.memory_stream()
         for mode in (Mode.HP, Mode.ULE):
-            reference, vectorized = _both_backends(
+            reference, vectorized = _both_simulators(
                 proposed, mode, addresses, is_write
             )
             _assert_stats_identical(reference, vectorized)
 
     def test_single_access(self, design_a):
         _, proposed = build_cache_pair(design_a)
-        reference, vectorized = _both_backends(
+        reference, vectorized = _both_simulators(
             proposed,
             Mode.ULE,
             np.array([0x1234], dtype=np.uint64),
@@ -125,11 +159,10 @@ class TestStatsEquivalence:
 
     def test_empty_stream(self, design_a):
         _, proposed = build_cache_pair(design_a)
-        vectorized = simulate_cache(
+        vectorized = simulate_trace_vectorized(
             proposed,
             Mode.HP,
             np.array([], dtype=np.uint64),
-            backend="vectorized",
         )
         assert vectorized.accesses == 0
 
@@ -151,7 +184,7 @@ class TestStatsEquivalence:
             0, 1 << address_bits, size=operations, dtype=np.uint64
         )
         is_write = rng.random(operations) < write_frac
-        reference, vectorized = _both_backends(
+        reference, vectorized = _both_simulators(
             proposed, mode, addresses, is_write
         )
         _assert_stats_identical(reference, vectorized)
@@ -182,7 +215,7 @@ class TestStatsEquivalence:
         addresses = rng.integers(0, 1 << 14, size=4_000, dtype=np.uint64)
         is_write = rng.random(4_000) < 0.3
         for mode in (Mode.HP, Mode.ULE):
-            reference, vectorized = _both_backends(
+            reference, vectorized = _both_simulators(
                 config, mode, addresses, is_write
             )
             _assert_stats_identical(reference, vectorized)
@@ -191,13 +224,13 @@ class TestStatsEquivalence:
 class TestChipLevelEquivalence:
     @pytest.mark.parametrize("mode", [Mode.HP, Mode.ULE])
     def test_run_results_match(self, design_a, mode):
-        """Timing, EnergyLedger and stats agree between backends."""
+        """Timing, EnergyLedger and stats agree between simulators."""
         chips = build_chips(design_a)
         bench = "g721_c" if mode is Mode.HP else "adpcm_c"
         trace = generate_trace(bench, length=15_000, seed=5)
         for chip in chips.pair():
             reference = chip.run(trace, mode, simulate=simulate_reference)
-            vectorized = chip.run(trace, mode, simulate=VECTORIZED)
+            vectorized = chip.run(trace, mode, simulate=simulate_cache)
             assert reference.il1_stats == vectorized.il1_stats
             assert reference.dl1_stats == vectorized.dl1_stats
             assert reference.timing == vectorized.timing
@@ -213,7 +246,7 @@ class TestChipLevelEquivalence:
     def test_default_simulate_matches_execute_job(self, design_a, mode):
         """``Chip.run``'s default simulator (the behavioural model)
         and the engine's per-job run pickle to the same bytes on the
-        LRU paper chips; the chip itself takes no backend."""
+        LRU paper chips; the chip itself takes no simulator choice."""
         assert "backend" not in inspect.signature(Chip.run).parameters
         spec = TraceSpec("g721_c", 6_000, 5)
         trace = generate_trace(
@@ -237,7 +270,8 @@ class TestChipLevelEquivalence:
             simulate=simulate_reference,
         )
         vectorized = chips.proposed.run(
-            trace, Mode.ULE, operating_point=point, simulate=VECTORIZED
+            trace, Mode.ULE, operating_point=point,
+            simulate=simulate_cache,
         )
         assert reference.operating_point == point
         assert vectorized.operating_point == point

@@ -1,22 +1,22 @@
-"""Backend equivalence and job identity under die fault maps.
+"""Simulator equivalence and job identity under die fault maps.
 
 The fault-map edge cases of the population subsystem:
 
 * a zero-fault die is byte-identical to the no-fault-map path (same
   counters, same energy, same engine job key);
 * a set — or a whole cache — with every way faulty degrades
-  gracefully: accesses bypass to memory, nothing crashes, and both
-  backends agree bit-for-bit;
+  gracefully: accesses bypass to memory, nothing crashes, and the
+  vectorized engine agrees bit-for-bit with the behavioural model;
 * partial disables reduce the effective associativity per set,
-  bit-identically across backends.
+  bit-identically in both simulators.
 """
-
-from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.cache.hybrid import simulate_reference
 from repro.engine.backends import simulate_cache
+from repro.engine.vectorized import simulate_trace_vectorized
 from repro.engine.jobs import SimulationJob, TraceSpec, execute_job, job_key
 from repro.faults.maps import CacheFaultMap, DieFaultMap
 from repro.faults.sampling import sample_die_fault_map
@@ -109,22 +109,20 @@ class TestGracefulDegradation:
                 ),
             )
         )
-        results = {
-            backend: execute_job(
-                SimulationJob(
-                    chip=config,
-                    trace=TraceSpec("adpcm_c", 3_000, 42),
-                    mode=Mode.ULE,
-                    fault_map=fault_map,
-                ),
-                backend=backend,
+        result = execute_job(
+            SimulationJob(
+                chip=config,
+                trace=TraceSpec("adpcm_c", 3_000, 42),
+                mode=Mode.ULE,
+                fault_map=fault_map,
             )
-            for backend in ("vectorized", "reference")
-        }
-        assert _results_equal(
-            results["vectorized"], results["reference"]
         )
-        result = results["vectorized"]
+        reference = chips_a.proposed.run(
+            generate_trace("adpcm_c", length=3_000, seed=42),
+            Mode.ULE,
+            fault_map=fault_map,
+        )
+        assert _results_equal(result, reference)
         for stats in (result.il1_stats, result.dl1_stats):
             assert stats.hits == 0
             assert stats.fills == 0
@@ -151,7 +149,7 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("mode", [Mode.ULE, Mode.HP])
     def test_sampled_maps_agree_across_backends(self, chips_a, mode):
         """Low-supply sampled maps (dense faults) must simulate
-        bit-identically on both backends."""
+        bit-identically in both simulators."""
         config = chips_a.proposed.config
         fault_map = sample_die_fault_map(
             config.il1,
@@ -162,14 +160,11 @@ class TestBackendEquivalence:
         )
         assert not fault_map.is_fault_free
         trace = generate_trace("g721_c", length=4_000, seed=9)
-        outcomes = [
-            chips_a.proposed.run(
-                trace, mode, fault_map=fault_map,
-                simulate=partial(simulate_cache, backend=backend),
-            )
-            for backend in ("vectorized", "reference")
-        ]
-        assert _results_equal(*outcomes)
+        vectorized = chips_a.proposed.run(
+            trace, mode, fault_map=fault_map, simulate=simulate_cache
+        )
+        reference = chips_a.proposed.run(trace, mode, fault_map=fault_map)
+        assert _results_equal(vectorized, reference)
 
     def test_partial_disable_equivalence_hp(self, chips_a):
         """Reduced per-set associativity at HP mode (8 ways)."""
@@ -180,13 +175,11 @@ class TestBackendEquivalence:
             for way in ((0, 3) if set_index % 2 else (5,))
         )
         trace = generate_trace("g721_c", length=4_000, seed=9)
-        reference = simulate_cache(
-            config.il1, Mode.HP, trace.pc,
-            backend="reference", disabled_lines=disabled,
+        reference = simulate_reference(
+            config.il1, Mode.HP, trace.pc, disabled_lines=disabled
         )
-        vectorized = simulate_cache(
-            config.il1, Mode.HP, trace.pc,
-            backend="vectorized", disabled_lines=disabled,
+        vectorized = simulate_trace_vectorized(
+            config.il1, Mode.HP, trace.pc, disabled_lines=disabled
         )
         assert reference == vectorized
         assert vectorized.bypasses == 0
@@ -195,7 +188,7 @@ class TestBackendEquivalence:
     def test_fully_disabled_set_bypasses(self, chips_a, seed):
         """Conflict-heavy random traffic at HP: a few scattered partial
         disables plus one set whose every active way is dead, which
-        must bypass — bit-identically across backends."""
+        must bypass — bit-identically in both simulators."""
         config = chips_a.proposed.config.il1
         actives = [
             way
@@ -211,11 +204,11 @@ class TestBackendEquivalence:
         }
         disabled |= {(0, way) for way in actives}
         reference, vectorized = (
-            simulate_cache(
+            simulate(
                 config, Mode.HP, addresses, is_write,
-                backend=backend, disabled_lines=tuple(sorted(disabled)),
+                disabled_lines=tuple(sorted(disabled)),
             )
-            for backend in ("reference", "vectorized")
+            for simulate in (simulate_reference, simulate_trace_vectorized)
         )
         assert reference == vectorized
         assert vectorized.bypasses > 0
@@ -224,9 +217,8 @@ class TestBackendEquivalence:
         config = chips_a.proposed.config.il1
         trace = generate_trace("adpcm_c", length=500, seed=1)
         for bad in ((config.sets, 0), (0, config.ways)):
-            for backend in ("vectorized", "reference"):
+            for simulate in (simulate_trace_vectorized, simulate_reference):
                 with pytest.raises(ValueError, match="out of range"):
-                    simulate_cache(
-                        config, Mode.HP, trace.pc,
-                        backend=backend, disabled_lines=(bad,),
+                    simulate(
+                        config, Mode.HP, trace.pc, disabled_lines=(bad,)
                     )

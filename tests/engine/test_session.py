@@ -155,13 +155,15 @@ class TestSessionBatching:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
             SimulationSession(jobs=0)
-        with pytest.raises(ValueError):
-            SimulationSession(backend="turbo")
 
     def test_backend_choice_is_result_invariant(self, chips_a):
+        """A session's result (the vectorized engine on these LRU
+        chips) equals ``Chip.run``'s default, the behavioural model."""
         job = _job(chips_a)
-        reference = SimulationSession(backend="reference").run_one(job)
-        vectorized = SimulationSession(backend="vectorized").run_one(job)
+        reference = chips_a.baseline.run(
+            generate_trace("adpcm_c", length=4_000, seed=42), job.mode
+        )
+        vectorized = SimulationSession().run_one(job)
         assert reference.epi == vectorized.epi
         assert reference.il1_stats == vectorized.il1_stats
         assert reference.timing == vectorized.timing
@@ -382,5 +384,5 @@ class TestReplacementPolicyPlumbing:
         assert result.timing.instructions == lru.timing.instructions
         # A single powered ULE way leaves no replacement freedom, so
         # the counters must agree with LRU — the policy only changes
-        # which backend simulates.
+        # which simulator runs.
         assert result.il1_stats.misses == lru.il1_stats.misses

@@ -1,9 +1,9 @@
-"""Backend equivalence and job identity under soft-error injection.
+"""Simulator equivalence and job identity under soft-error injection.
 
 The transient subsystem's acceptance contract:
 
-* with injection enabled, the vectorized and reference backends
-  produce bit-identical counters, timing and energy;
+* with injection enabled, the vectorized engine and the behavioural
+  reference model produce bit-identical counters, timing and energy;
 * a *null* spec is byte-identical to passing no spec (results and
   engine job keys);
 * serial and ``--jobs N`` sessions render population-style batches
@@ -15,11 +15,12 @@ equivalence must hold for *every* stream, not one golden seed.
 """
 
 import os
-from functools import partial
 
 import pytest
 
+from repro.cache.hybrid import simulate_reference
 from repro.engine.backends import simulate_cache
+from repro.engine.vectorized import simulate_trace_vectorized
 from repro.engine.jobs import (
     ENGINE_CACHE_VERSION,
     SimulationJob,
@@ -76,10 +77,9 @@ class TestBackendEquivalence:
         for chip in (chips_b.baseline, chips_b.proposed):
             outcomes = [
                 chip.run(
-                    trace, mode, transients=spec,
-                    simulate=partial(simulate_cache, backend=backend),
-                )
-                for backend in ("vectorized", "reference")
+                    trace, mode, transients=spec, simulate=simulate_cache
+                ),
+                chip.run(trace, mode, transients=spec),
             ]
             assert _results_equal(*outcomes)
             injected = outcomes[0]
@@ -99,13 +99,11 @@ class TestBackendEquivalence:
             config, Mode.ULE, operating_point_for(Mode.ULE),
             _spec(seed), "dl1",
         )
-        reference = simulate_cache(
-            config, Mode.ULE, addresses, is_write,
-            backend="reference", transients=sampler,
+        reference = simulate_reference(
+            config, Mode.ULE, addresses, is_write, transients=sampler
         )
-        vectorized = simulate_cache(
-            config, Mode.ULE, addresses, is_write,
-            backend="vectorized", transients=sampler,
+        vectorized = simulate_trace_vectorized(
+            config, Mode.ULE, addresses, is_write, transients=sampler
         )
         assert reference == vectorized
         assert vectorized.transient_affected > 0
@@ -117,7 +115,7 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_equivalence_with_fault_map(self, chips_b, seed):
         """Hard faults + soft errors together: disabled lines shift
-        allocation, and the backends must still agree bit-for-bit."""
+        allocation, and the simulators must still agree bit-for-bit."""
         config = chips_b.proposed.config
         fault_map = sample_die_fault_map(
             config.il1,
@@ -132,9 +130,9 @@ class TestBackendEquivalence:
             chips_b.proposed.run(
                 trace, Mode.ULE,
                 fault_map=fault_map, transients=_spec(seed),
-                simulate=partial(simulate_cache, backend=backend),
+                simulate=simulate,
             )
-            for backend in ("vectorized", "reference")
+            for simulate in (simulate_cache, simulate_reference)
         ]
         assert _results_equal(*outcomes)
 
@@ -148,13 +146,11 @@ class TestBackendEquivalence:
             config, Mode.HP, operating_point_for(Mode.HP),
             _spec(7, acceleration=1e18, scrub=1e-6), "dl1",
         )
-        reference = simulate_cache(
-            config, Mode.HP, addresses, is_write,
-            backend="reference", transients=sampler,
+        reference = simulate_reference(
+            config, Mode.HP, addresses, is_write, transients=sampler
         )
-        vectorized = simulate_cache(
-            config, Mode.HP, addresses, is_write,
-            backend="vectorized", transients=sampler,
+        vectorized = simulate_trace_vectorized(
+            config, Mode.HP, addresses, is_write, transients=sampler
         )
         assert reference == vectorized
         assert vectorized.transient_affected > 0

@@ -72,6 +72,28 @@ class TestExpansion:
         assert len(infeasible) == 2
         assert all("6T" in reason for _, reason in infeasible)
 
+    def test_space_without_a_candidate_is_an_error(self):
+        """No point passes the constraints, or every point is
+        infeasible: either way there is nothing to rank."""
+        with pytest.raises(ValueError, match="no point passes"):
+            _campaign(_small_space(ule_ways=(9,))).expand()
+        unconstrained = DesignSpace.from_dict(
+            {
+                axis.name: axis.values
+                for axis in _small_space(ule_cell=("6T",)).axes
+            }
+        )
+        with pytest.raises(ValueError, match="infeasible.*6T"):
+            _campaign(unconstrained).expand()
+        with pytest.raises(ValueError, match="no point passes"):
+            _campaign(_small_space(ule_ways=(9,))).run(
+                session=SimulationSession()
+            )
+
+    def test_negative_dies_rejected_up_front(self):
+        with pytest.raises(ValueError, match="dies must be at least 0"):
+            _campaign(dies=-1)
+
 
 class TestRun:
     def test_batches_once_and_reduces_metrics(self):

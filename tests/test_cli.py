@@ -78,13 +78,6 @@ class TestRun:
         ) == 0
         assert "exec" in capsys.readouterr().out.lower()
 
-    def test_backend_flag(self, capsys):
-        assert main(
-            ["run", "tab-exectime", "--trace-length", "3000",
-             "--backend", "reference"]
-        ) == 0
-        assert "exec" in capsys.readouterr().out.lower()
-
     def test_jobs_flag(self, capsys):
         assert main(
             ["run", "tab-exectime", "--trace-length", "3000", "--jobs", "2"]
@@ -107,12 +100,6 @@ class TestRun:
         ) == 0
         capsys.readouterr()
         assert list(cache_dir.glob("gen-*/*/*.pkl"))
-
-    def test_invalid_backend_rejected(self):
-        for backend in ("turbo", "numba"):
-            with pytest.raises(SystemExit) as exit_info:
-                main(["run", "fig4", "--backend", backend])
-            assert exit_info.value.code == 2
 
 
 class TestAll:
@@ -521,15 +508,6 @@ class TestSweepGuards:
         ) == 0
         out = capsys.readouterr().out
         assert "x4k" in out and "x8k" in out and "x16k" in out
-
-    def test_vectorized_backend_rejects_non_lru_axis(self, capsys):
-        axes = self.AXES.replace("replacement=lru", "replacement=fifo")
-        assert main(
-            ["sweep", "--axes", axes, "--backend", "vectorized",
-             "--trace-length", "1500"]
-        ) == 2
-        err = capsys.readouterr().err
-        assert "LRU" in err and "fifo" in err
 
     def test_auto_backend_accepts_non_lru_axis(self, capsys):
         axes = self.AXES.replace(
@@ -992,6 +970,14 @@ class TestErrorContract:
                          id="sweep-unknown-carbon"),
             pytest.param(["sweep", "--axes", "bogus=1"], False,
                          id="sweep-unknown-axis"),
+            pytest.param(["sweep", "--dies", "-1"], True,
+                         id="sweep-negative-dies"),
+            pytest.param(["sweep", "--axes", "ule_ways=9"], False,
+                         id="sweep-no-candidate-ways"),
+            pytest.param(["sweep", "--axes", "vdd_ule=0.1"], False,
+                         id="sweep-no-candidate-vdd"),
+            pytest.param(["sweep", "--axes", "vdd_ule=0.1", "--surrogate"],
+                         False, id="sweep-surrogate-no-candidate"),
             pytest.param(["schedule", "--workload", "nosuch"], False,
                          id="schedule-unknown-workload"),
             pytest.param(["population", "--suite", "nosuch"], False,
