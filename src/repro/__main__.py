@@ -38,7 +38,8 @@ Exit status:
 
 * ``0`` — success;
 * ``1`` — ``traces verify`` found damage, or ``submit`` had failed jobs;
-* ``2`` — a usage or input error, reported on stderr as one
+* ``2`` — a usage or input error, or a ``--jobs N`` worker that died
+  again after one fresh pool, reported on stderr as one
   ``repro <cmd>: error: <message>`` line (argparse prints its usage
   above that line for a malformed command line).
 """
@@ -61,6 +62,13 @@ def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be at least 0")
+    return value
+
+
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError("must be in 0..65535")
     return value
 
 
@@ -193,8 +201,8 @@ _SHARED_FLAGS: dict[str, dict] = {
     ),
     "--host": dict(default="127.0.0.1", help="service address"),
     "--port": dict(
-        type=int, default=8642,
-        help="service port; serve --port 0 picks an ephemeral one",
+        type=_port, default=8642,
+        help="service port, 0-65535; serve --port 0 picks an ephemeral one",
     ),
     "--store": dict(
         type=pathlib.Path, default=None,
@@ -545,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="keep at most this many records",
     )
     ingest.add_argument(
-        "--skip", type=int, default=0,
+        "--skip", type=_non_negative_int, default=0,
         help="drop this many records first (windowing; default: 0)",
     )
     ingest.add_argument(
@@ -1124,7 +1132,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         fmt=args.format,
         name=args.name,
         limit=args.limit,
-        skip=max(args.skip, 0),
+        skip=args.skip,
         force=args.force,
     )
     print(
@@ -1325,16 +1333,19 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point: parse argv, run the subcommand, return its status.
 
     The one error boundary: a ``ValueError`` (bad input, unreadable or
-    malformed files) or ``OSError`` from any subcommand becomes a single
+    malformed files), an ``OSError`` or a ``BrokenExecutor`` (a pool
+    worker died twice) from any subcommand becomes a single
     ``repro <cmd>: error: <message>`` stderr line and exit status 2.  A
     ``BrokenPipeError`` propagates, for the ``__main__`` guard.
     """
+    from concurrent.futures import BrokenExecutor
+
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except BrokenPipeError:
         raise
-    except (ValueError, OSError) as error:
+    except (ValueError, OSError, BrokenExecutor) as error:
         print(f"repro {args.command}: error: {error}", file=sys.stderr)
         return 2
 

@@ -9,9 +9,9 @@ submit batches of :class:`SimulationJob`\\ s and the session
   :class:`concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``, in
   same-trace chunks: a :class:`~repro.engine.jobs.TraceSpec` is
   regenerated in the worker, an inline trace is pickled with its chunk,
-* **memoizes** results in memory and, optionally, in the content-hash-keyed
-  on-disk store (:func:`repro.engine.store.generation_store`) that
-  survives across invocations.
+* **memoizes** results in a :class:`~repro.engine.store.ResultCache`:
+  in memory and, optionally, in the content-hash-keyed on-disk store
+  (:func:`repro.engine.store.generation_store`) across invocations.
 
 A module-global *current session* (default: serial, in-process, no disk
 cache) lets the evaluation pipeline batch through the engine without
@@ -22,7 +22,11 @@ configured session via :func:`use_session`.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import (
+    BrokenExecutor,
+    ProcessPoolExecutor,
+    as_completed,
+)
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +39,7 @@ from repro.engine.batch import (
     partition_for_dispatch,
 )
 from repro.engine.jobs import SimulationJob, job_key
-from repro.engine.store import generation_store
+from repro.engine.store import MEMO, ResultCache, generation_store
 
 
 @dataclass
@@ -55,35 +59,6 @@ class SessionStats:
             + self.memo_hits
             + self.disk_hits
             + self.deduplicated
-        )
-
-    def snapshot(self) -> "SessionStats":
-        """A frozen copy of the counters at this instant.
-
-        Pair with :meth:`since` to attribute work to a phase of a
-        larger computation — the surrogate exploration loop snapshots
-        around every acquisition round to report jobs simulated per
-        round without owning the session.
-        """
-        return SessionStats(
-            executed=self.executed,
-            memo_hits=self.memo_hits,
-            disk_hits=self.disk_hits,
-            deduplicated=self.deduplicated,
-        )
-
-    def since(self, earlier: "SessionStats") -> "SessionStats":
-        """The counter deltas accumulated after ``earlier``.
-
-        ``earlier`` must be a snapshot of this same monotonically
-        growing history (counters never decrease), so every delta is
-        non-negative.
-        """
-        return SessionStats(
-            executed=self.executed - earlier.executed,
-            memo_hits=self.memo_hits - earlier.memo_hits,
-            disk_hits=self.disk_hits - earlier.disk_hits,
-            deduplicated=self.deduplicated - earlier.deduplicated,
         )
 
 
@@ -154,10 +129,9 @@ class SimulationSession:
             raise ValueError("jobs must be at least 1")
         self.jobs = jobs
         self.stats = SessionStats()
-        self._memo: dict[str, RunResult] = {}
         self._pool: ProcessPoolExecutor | None = None
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._store = (
+        self.results = ResultCache(
             generation_store(cache_dir) if cache_dir is not None else None
         )
 
@@ -176,7 +150,7 @@ class SimulationSession:
         monkeypatching an energy component in a test) must clear the
         session it submits through, or use a fresh session.
         """
-        self._memo.clear()
+        self.results = ResultCache(self.results.store)
 
     def __enter__(self) -> "SimulationSession":
         return self
@@ -200,29 +174,28 @@ class SimulationSession:
         campaign-scale batches can report without touching the workers.
         """
         keys = [job_key(job) for job in jobs]
+        # Batch-local, so a batch larger than the cache's memo bound
+        # still returns every result.
+        found: dict[str, RunResult] = {}
         pending: dict[str, SimulationJob] = {}
         for key, job in zip(keys, jobs):
-            if key in self._memo:
-                self.stats.memo_hits += 1
-                continue
             if key in pending:
                 self.stats.deduplicated += 1
-                continue
-            if self._store is not None:
-                cached = self._store.get(key)
-                if cached is not None:
-                    self._memo[key] = cached
+            elif (hit := self.results.get(key)) is None:
+                pending[key] = job
+            else:
+                found[key], source = hit
+                if source == MEMO:
+                    self.stats.memo_hits += 1
+                else:
                     self.stats.disk_hits += 1
-                    continue
-            pending[key] = job
         if pending:
             results = self._execute(list(pending.values()), progress)
             for key, result in zip(pending, results):
-                self._memo[key] = result
-                if self._store is not None:
-                    self._store.put(key, result)
+                self.results.put(key, result)
+                found[key] = result
             self.stats.executed += len(pending)
-        return [self._memo[key] for key in keys]
+        return [found[key] for key in keys]
 
     def run_one(self, job: SimulationJob) -> RunResult:
         """Run a single job through the batching machinery."""
@@ -244,27 +217,38 @@ class SimulationSession:
                 progress(done, total)
 
         if self.jobs > 1 and total > 1:
-            # The pool lives for the session: workers keep their
-            # chip/trace memos warm across batches (e.g. the per-Vdd
-            # evaluations of an ablation) instead of re-deriving them.
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
             # Same-trace jobs travel as groups so workers share each
             # trace's plan and functional-simulation memo.  A chunk is
             # pickled in one call, so an inline trace its jobs share
             # ships once per chunk.
-            futures = {
-                self._pool.submit(
-                    execute_group,
-                    [jobs[index] for index in chunk],
-                ): chunk
-                for chunk in partition_for_dispatch(jobs, self.jobs)
-            }
-            for future in as_completed(futures):
-                for index, result in zip(futures[future], future.result()):
-                    results[index] = result
-                    _advance(result)
-            return results
+            chunks = partition_for_dispatch(jobs, self.jobs)
+            for retry in (False, True):
+                # The pool lives for the session: workers keep their
+                # chip/trace memos warm across batches (e.g. the per-Vdd
+                # evaluations of an ablation) instead of re-deriving them.
+                if self._pool is None:
+                    self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+                try:
+                    futures = {
+                        self._pool.submit(
+                            execute_group, [jobs[index] for index in chunk]
+                        ): chunk
+                        for chunk in chunks
+                        if results[chunk[0]] is None
+                    }
+                    for future in as_completed(futures):
+                        chunk = futures[future]
+                        for index, result in zip(chunk, future.result()):
+                            results[index] = result
+                            _advance(result)
+                    return results
+                except BrokenExecutor:
+                    # One dead worker (OOM kill, segfault) breaks the
+                    # whole pool: drop it, and re-run the chunks still
+                    # without results once, in a fresh pool.
+                    self.close()
+                    if retry:
+                        raise
         # Serial: groups run in-process.
         for group in group_by_trace(jobs):
             group_results = execute_group(

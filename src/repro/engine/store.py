@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
@@ -49,6 +51,13 @@ ENTRY_SUFFIX = ".pkl"
 
 #: File suffix of in-flight scratch files (never read, swept by compact).
 SCRATCH_SUFFIX = ".tmp"
+
+#: Results a store-backed :class:`ResultCache` keeps in memory: the
+#: store holds them all, so the memo only spares recent ones a read.
+MEMO_LIMIT = 4096
+
+#: The tier that answered a :meth:`ResultCache.get`.
+MEMO, STORE = "memo", "store"
 
 
 @dataclass(frozen=True)
@@ -278,6 +287,50 @@ class ShardedResultStore:
             corrupt_removed=corrupt_removed,
             empty_shards_removed=empty_removed,
         )
+
+
+class ResultCache:
+    """The one result path: an in-memory memo over an optional store.
+
+    With a store, the memo keeps the :data:`MEMO_LIMIT` most recently
+    used results; without one, memory is the only copy, so nothing is
+    dropped.  The memo is locked: the scheduler's workers publish while
+    its submitters look up.
+    """
+
+    def __init__(self, store: ShardedResultStore | None = None):
+        self.store = store
+        self._memo: OrderedDict[str, Any] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: str) -> tuple[Any, str] | None:
+        """``(value, MEMO or STORE)``, the memo asked first; None on a miss."""
+        with self._lock:
+            value = self._memo.get(key)
+            if value is not None:
+                self._memo.move_to_end(key)
+                return value, MEMO
+        value = self.store.get(key) if self.store is not None else None
+        if value is None:
+            return None
+        self._remember(key, value)
+        return value, STORE
+
+    def put(self, key: str, value: Any) -> None:
+        """Publish ``value`` to the store, then to the memo.
+
+        A job reads as done only after this returns, and a store write
+        that raises leaves nothing in memory.
+        """
+        if self.store is not None:
+            self.store.put(key, value)
+        self._remember(key, value)
+
+    def _remember(self, key: str, value: Any) -> None:
+        with self._lock:
+            self._memo[key] = value
+            if self.store is not None and len(self._memo) > MEMO_LIMIT:
+                self._memo.popitem(last=False)
 
 
 def generation_store(cache_dir: str | os.PathLike) -> ShardedResultStore:

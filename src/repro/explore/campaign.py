@@ -1069,7 +1069,7 @@ class ExplorationCampaign:
         def run_round(chosen: list[int]) -> tuple[int, int]:
             """Simulate ``chosen``; (submitted, executed) jobs."""
             nonlocal simulated, jobs_submitted, jobs_executed
-            before = session.stats.snapshot()
+            before = session.stats.executed
             outcomes = self._evaluate_candidates(
                 [candidates[i] for i in chosen], session, progress
             )
@@ -1080,7 +1080,7 @@ class ExplorationCampaign:
                 self.jobs_per_candidate(candidates[i]) for i in chosen
             )
             jobs_submitted += submitted
-            executed = session.stats.since(before).executed
+            executed = session.stats.executed - before
             jobs_executed += executed
             return submitted, executed
 

@@ -315,7 +315,7 @@ class ServiceAPI:
             "scheduler": self.scheduler.stats.to_dict(),
             "queue_depth": self.scheduler.queue_depth(),
         }
-        store = self.scheduler.store
+        store = self.scheduler.results.store
         if store is not None:
             summary = store.summary()
             payload["store"] = {

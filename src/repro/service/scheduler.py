@@ -6,8 +6,8 @@ SimulationJob`\\ s attributed to a *tenant*; for every job the scheduler
 decides, under one lock, exactly one of:
 
 ``done``
-    The result is already known — in-memory memo or the shared
-    :class:`~repro.engine.store.ShardedResultStore` — and is served
+    The result is already known — to the memo or the shared store of
+    its :class:`~repro.engine.store.ResultCache` — and is served
     immediately.  This path is checked **before** any capacity check,
     which is the graceful-degradation contract: a saturated service
     still answers everything it has already computed.
@@ -35,8 +35,8 @@ plan and one functional simulation per Vdd sweep, exactly as in a
 library session.  A failed group's jobs are retried one by one with
 exponential backoff, so one job that always raises cannot fail its
 siblings; a job that still fails on its own after ``max_retries``
-retries is marked ``failed``.  Results are published to the shared
-store *before* the jobs are marked done, so a crash between the two
+retries is marked ``failed``.  Results are published to the result
+cache *before* the jobs are marked done, so a crash between the two
 never yields a torn entry — and a partial result is unrepresentable:
 :meth:`ServiceScheduler.result` only returns fully published
 :class:`~repro.cpu.chip.RunResult` objects.
@@ -50,13 +50,13 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.cpu.chip import RunResult
 from repro.engine.batch import execute_group, group_by_trace
 from repro.engine.jobs import SimulationJob, job_key
-from repro.engine.store import ShardedResultStore
+from repro.engine.store import MEMO, ResultCache, ShardedResultStore
 from repro.service.queue import WeightedFairQueue
 
 #: Ticket / entry states surfaced to clients.
@@ -159,9 +159,9 @@ class SchedulerStats:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
-    """Internal per-key execution record."""
+    """Internal per-key job state (results live in the cache)."""
 
     key: str
     job: SimulationJob
@@ -169,9 +169,6 @@ class _Entry:
     state: str = QUEUED
     attempts: int = 0
     error: str | None = None
-    result: RunResult | None = None
-    tenants: set[str] = field(default_factory=set)
-    done_event: threading.Event = field(default_factory=threading.Event)
 
 
 class ServiceScheduler:
@@ -233,7 +230,7 @@ class ServiceScheduler:
             raise ValueError("tenant_quota must be at least 1 (or None)")
         if queue_capacity is not None and queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1 (or None)")
-        self.store = store
+        self.results = ResultCache(store)
         self.workers = workers
         self.queue_capacity = queue_capacity
         self.tenant_quota = tenant_quota
@@ -322,25 +319,19 @@ class ServiceScheduler:
         key = job_key(job)
         self.stats.submitted += 1
         entry = self._entries.get(key)
-        if entry is not None and entry.state == DONE:
-            self.stats.served_memo += 1
-            return Ticket(key=key, state=DONE)
         if entry is not None and entry.state in (QUEUED, RUNNING):
-            entry.tenants.add(tenant)
             self.stats.attached += 1
             return Ticket(key=key, state=ATTACHED)
-        if entry is None and self.store is not None:
-            cached = self.store.get(key)
-            if cached is not None:
-                done = _Entry(
-                    key=key, job=job, owner=tenant, state=DONE,
-                    result=cached, tenants={tenant},
-                )
-                done.done_event.set()
-                self._entries[key] = done
+        hit = self.results.get(key)
+        if hit is not None:
+            if hit[1] == MEMO:
+                self.stats.served_memo += 1
+            else:
                 self.stats.served_store += 1
-                return Ticket(key=key, state=DONE)
-        # New (or previously failed) work: quota, then capacity.
+            if entry is None or entry.state == FAILED:  # published since
+                self._entries[key] = _Entry(key, job, tenant, DONE)
+            return Ticket(key=key, state=DONE)
+        # New, failed or lost work: quota, then capacity.
         if (
             self.tenant_quota is not None
             and self._outstanding.get(tenant, 0) >= self.tenant_quota
@@ -359,16 +350,8 @@ class ServiceScheduler:
                 key=key, state=SHED, reason=REASON_SATURATED,
                 retry_after=self.retry_after,
             )
-        if entry is None:
-            entry = _Entry(key=key, job=job, owner=tenant)
-        else:  # failed before: a fresh submission retries from scratch
-            entry.owner = tenant
-            entry.attempts = 0
-            entry.error = None
-            entry.done_event = threading.Event()
-        entry.state = QUEUED
-        entry.tenants.add(tenant)
-        self._entries[key] = entry
+        # A fresh entry: a resubmission retries from scratch.
+        self._entries[key] = _Entry(key, job, tenant)
         self._outstanding[tenant] = self._outstanding.get(tenant, 0) + 1
         self._queued_jobs += 1
         self.stats.queued += 1
@@ -408,14 +391,17 @@ class ServiceScheduler:
 
         Raises KeyError for unknown keys and :class:`ResultNotReady`
         for queued / running / failed ones: a caller can never observe
-        a partially computed :class:`~repro.cpu.chip.RunResult`.
+        a partially computed :class:`~repro.cpu.chip.RunResult`.  A
+        result lost from the store since fails its job, loudly, so that
+        a resubmission recomputes it.
         """
         with self._lock:
             entry = self._entries[key]
-            if entry.state != DONE:
-                raise ResultNotReady(key, entry.state)
-            assert entry.result is not None
-            return entry.result
+            if entry.state == DONE and (hit := self.results.get(key)):
+                return hit[0]
+            if entry.state == DONE:
+                entry.state, entry.error = FAILED, "result lost from store"
+            raise ResultNotReady(key, entry.state)
 
     def result_bytes(self, key: str) -> bytes:
         """The stored pickle payload of a completed result.
@@ -427,24 +413,18 @@ class ServiceScheduler:
         import pickle
 
         result = self.result(key)
-        if self.store is not None:
-            payload = self.store.get_bytes(key)
-            if payload is not None:
-                return payload
-        return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        store = self.results.store
+        payload = store.get_bytes(key) if store is not None else None
+        return payload or pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
 
     def wait(self, keys: Iterable[str], timeout: float = 60.0) -> bool:
-        """Block until every key is terminal (done/failed) or timeout."""
-        deadline = self._clock() + timeout
-        for key in keys:
-            with self._lock:
-                entry = self._entries.get(key)
-            if entry is None:
-                continue
-            remaining = deadline - self._clock()
-            if remaining <= 0 or not entry.done_event.wait(remaining):
-                return False
-        return True
+        """Block until every known key is done/failed, or timeout."""
+        keys = tuple(keys)
+        with self._cond:
+            return self._cond.wait_for(lambda: all(
+                self._entries[key].state in (DONE, FAILED)
+                for key in keys if key in self._entries
+            ), timeout)
 
     def queue_depth(self) -> int:
         """Jobs currently admitted but not yet executing."""
@@ -486,21 +466,20 @@ class ServiceScheduler:
         try:
             results = self._execute([entry.job for entry in entries])
             finished = list(zip(entries, results, strict=True))
+            # Publish *before* flipping the states: a reader that sees
+            # ``done`` can always read the result.  A publish that
+            # raises is retried like a failed run.
+            for entry, result in finished:
+                self.results.put(entry.key, result)
         except Exception as error:
             self._on_failure(entries, error, now=now)
             return
-        # Publish to the shared store *before* flipping the states:
-        # a reader that sees ``done`` can always read the entry.
-        if self.store is not None:
-            for entry, result in finished:
-                self.store.put(entry.key, result)
         with self._cond:
-            for entry, result in finished:
-                entry.result = result
+            for entry in entries:
                 entry.state = DONE
                 entry.attempts += 1
                 self._settle(entry)
-            self.stats.executed += len(finished)
+            self.stats.executed += len(entries)
 
     def _on_failure(
         self, entries: list[_Entry], error: Exception, now: float | None
@@ -542,7 +521,6 @@ class ServiceScheduler:
             self._outstanding[entry.owner] = count
         else:
             self._outstanding.pop(entry.owner, None)
-        entry.done_event.set()
         self._cond.notify_all()
 
     def _promote_due(self, now: float) -> None:

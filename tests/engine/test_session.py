@@ -1,18 +1,50 @@
 """SimulationSession: batching, dedup, disk memoization, parallelism."""
 
+import os
+from concurrent.futures import BrokenExecutor
+from functools import partial
+
 import pytest
 
 from repro.core.evaluation import evaluate_scenario
 from repro.core.scenarios import Scenario
+from repro.engine import session as session_module
+from repro.engine.batch import execute_group
 from repro.engine.jobs import SimulationJob, TraceSpec, job_key
 from repro.engine.session import (
-    SessionStats,
     SimulationSession,
     current_session,
     use_session,
 )
 from repro.tech.operating import Mode, OperatingPoint
 from repro.workloads.mediabench import generate_trace
+
+
+def _die_first(marks, deaths, jobs):
+    """``execute_group``, but the first ``deaths`` calls kill their worker.
+
+    Each death claims a marker file, so the count holds across worker
+    processes.
+    """
+    for index in range(deaths):
+        try:
+            os.close(os.open(marks / f"death-{index}", os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            continue
+        os._exit(1)
+    return execute_group(jobs)
+
+
+def _assert_same_results(left_results, right_results):
+    """Field by field: raw pickles differ across the process boundary."""
+    assert len(left_results) == len(right_results)
+    for left, right in zip(left_results, right_results):
+        assert left.chip_name == right.chip_name
+        assert left.epi == right.epi
+        assert left.il1_stats == right.il1_stats
+        assert left.dl1_stats == right.dl1_stats
+        assert left.timing == right.timing
+        assert list(left.energy.items()) == list(right.energy.items())
 
 
 def _job(chips, which="baseline", bench="adpcm_c", length=4_000,
@@ -27,35 +59,16 @@ def _job(chips, which="baseline", bench="adpcm_c", length=4_000,
 
 
 class TestSessionStats:
-    def test_snapshot_is_frozen(self):
-        stats = SessionStats(executed=2, memo_hits=1)
-        frozen = stats.snapshot()
-        stats.executed += 5
-        assert frozen.executed == 2
-        assert frozen.memo_hits == 1
-
-    def test_since_yields_deltas(self):
-        stats = SessionStats(executed=2, disk_hits=1)
-        before = stats.snapshot()
-        stats.executed += 3
-        stats.memo_hits += 4
-        delta = stats.since(before)
-        assert delta.executed == 3
-        assert delta.memo_hits == 4
-        assert delta.disk_hits == 0
-        assert delta.requested == 7
-
     def test_session_phase_attribution(self, chips_a):
         with SimulationSession() as session:
-            before = session.stats.snapshot()
+            stats = session.stats
             session.run_jobs([_job(chips_a)])
-            first = session.stats.since(before)
-            assert first.executed == 1
-            before = session.stats.snapshot()
+            assert (stats.executed, stats.memo_hits) == (1, 0)
+            executed, memo_hits = stats.executed, stats.memo_hits
             session.run_jobs([_job(chips_a)])
-            second = session.stats.since(before)
-            assert second.executed == 0
-            assert second.memo_hits == 1
+            assert stats.executed - executed == 0
+            assert stats.memo_hits - memo_hits == 1
+            assert stats.requested == 2
 
 
 class TestJobKey:
@@ -246,6 +259,47 @@ class TestParallelDispatch:
             assert left.timing == right.timing
             assert list(left.energy.items()) == list(right.energy.items())
 
+    def test_dead_worker_heals_in_a_fresh_pool(
+        self, chips_a, tmp_path, monkeypatch
+    ):
+        """One worker death: the lost chunks re-run, results unchanged."""
+        jobs = [
+            _job(chips_a, which=which, bench=bench)
+            for which in ("baseline", "proposed")
+            for bench in ("adpcm_c", "adpcm_d")
+        ]
+        later = [_job(chips_a, bench=bench) for bench in ("epic_c", "epic_d")]
+        serial = SimulationSession(jobs=1).run_jobs(jobs + later)
+        monkeypatch.setattr(
+            session_module, "execute_group", partial(_die_first, tmp_path, 1)
+        )
+        with SimulationSession(jobs=2) as session:
+            healed = session.run_jobs(jobs)
+            assert [p.name for p in tmp_path.iterdir()] == ["death-0"]
+            assert session.stats.executed == len(jobs)
+            # The fresh pool serves the session's next batch as well.
+            healed += session.run_jobs(later)
+        _assert_same_results(serial, healed)
+
+    def test_second_death_propagates_and_drops_the_pool(
+        self, chips_a, tmp_path, monkeypatch
+    ):
+        jobs = [_job(chips_a, bench=bench) for bench in ("adpcm_c", "epic_c")]
+        monkeypatch.setattr(
+            session_module, "execute_group",
+            partial(_die_first, tmp_path, 99),
+        )
+        with SimulationSession(jobs=2) as session:
+            with pytest.raises(BrokenExecutor):
+                session.run_jobs(jobs)
+            assert session.stats.executed == 0
+            monkeypatch.setattr(session_module, "execute_group", execute_group)
+            # No broken pool is kept: the next batch runs.
+            _assert_same_results(
+                SimulationSession(jobs=1).run_jobs(jobs),
+                session.run_jobs(jobs),
+            )
+
 
 class TestCurrentSession:
     def test_default_session_exists(self):
@@ -258,6 +312,14 @@ class TestCurrentSession:
         session.clear_memo()
         session.run_one(job)
         assert session.stats.executed == 2
+
+    def test_clear_memo_keeps_the_store(self, chips_a, tmp_path):
+        session = SimulationSession(cache_dir=tmp_path)
+        job = _job(chips_a)
+        session.run_one(job)
+        session.clear_memo()
+        session.run_one(job)
+        assert (session.stats.executed, session.stats.disk_hits) == (1, 1)
 
     def test_reset_default_session(self):
         from repro.engine.session import reset_default_session

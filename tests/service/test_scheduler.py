@@ -497,3 +497,215 @@ class TestBackgroundWorkers:
             stats.served_memo + stats.attached + stats.queued
         )
         assert scheduler.queue_depth() == 0
+
+
+class TestSharedResultPath:
+    """Sessions and schedulers share one store through one cache."""
+
+    def test_session_and_scheduler_serve_each_other(
+        self, distinct_jobs, tmp_path
+    ):
+        from repro.engine.session import SimulationSession
+        from repro.engine.store import generation_store
+
+        first, second = distinct_jobs(2)
+        scheduler = ServiceScheduler(generation_store(tmp_path), workers=0)
+        scheduler.submit("alice", [first])
+        scheduler.run_next()
+        with SimulationSession(cache_dir=tmp_path) as session:
+            from_store, executed = session.run_jobs([first, second])
+        assert (session.stats.disk_hits, session.stats.executed) == (1, 1)
+        assert from_store.epi == scheduler.result(job_key(first)).epi
+        (ticket,) = scheduler.submit("bob", [second])
+        assert ticket.state == DONE
+        assert scheduler.stats.served_store == 1
+        assert scheduler.result(ticket.key).epi == executed.epi
+        assert scheduler.stats.executed == 1
+
+    def test_failed_key_found_in_store_is_served_done(
+        self, manual_scheduler, distinct_jobs, tmp_path
+    ):
+        store = ShardedResultStore(tmp_path)
+        scheduler = manual_scheduler(
+            store=store,
+            execute=FlakyExecutor(failures=99),
+            max_retries=0,
+            clock=lambda: 0.0,
+        )
+        (job,) = distinct_jobs(1)
+        (ticket,) = scheduler.submit("alice", [job])
+        scheduler.run_next(now=0.0)
+        assert scheduler.state_of(ticket.key)["state"] == FAILED
+        # Another process publishes the result meanwhile.
+        store.put(ticket.key, ("published-elsewhere", ticket.key))
+        (again,) = scheduler.submit("bob", [job])
+        assert again.state == DONE
+        assert scheduler.state_of(ticket.key) == {
+            "key": ticket.key, "state": DONE, "attempts": 0,
+        }
+        assert scheduler.result(ticket.key) == (
+            "published-elsewhere", ticket.key,
+        )
+        assert scheduler.stats.served_store == 1
+        assert scheduler.queue_depth() == 0
+
+    def test_result_lost_from_store_fails_then_recomputes(
+        self, manual_scheduler, distinct_jobs, tmp_path, monkeypatch
+    ):
+        from repro.engine import store as store_module
+
+        monkeypatch.setattr(store_module, "MEMO_LIMIT", 1)
+        store = ShardedResultStore(tmp_path)
+        scheduler = manual_scheduler(store=store)
+        lost, other = distinct_jobs(2)
+        key = job_key(lost)
+        scheduler.submit("alice", [lost, other])
+        scheduler.run_next()
+        scheduler.run_next()  # ``other`` pushes ``lost`` out of memory
+        store.path_for(key).unlink()
+        with pytest.raises(ResultNotReady) as excinfo:
+            scheduler.result(key)
+        assert excinfo.value.state == FAILED
+        assert "lost" in scheduler.state_of(key)["error"]
+        (ticket,) = scheduler.submit("alice", [lost])
+        assert ticket.state == QUEUED
+        scheduler.run_next()
+        assert scheduler.result(key) == ("result-for", key)
+
+    def test_publish_failure_is_retried(
+        self, manual_scheduler, distinct_jobs, tmp_path
+    ):
+        class FlakyStore(ShardedResultStore):
+            writes = 0
+
+            def put(self, key, value):
+                FlakyStore.writes += 1
+                if FlakyStore.writes == 1:
+                    raise OSError("No space left on device")
+                return super().put(key, value)
+
+        store = FlakyStore(tmp_path)
+        scheduler = manual_scheduler(
+            store=store, backoff_base=0.0, clock=lambda: 0.0
+        )
+        (job,) = distinct_jobs(1)
+        (ticket,) = scheduler.submit("alice", [job])
+        scheduler.run_next(now=0.0)
+        assert scheduler.state_of(ticket.key)["state"] == QUEUED
+        assert scheduler.stats.retried == 1
+        scheduler.run_next(now=0.0)
+        assert scheduler.result(ticket.key) == ("result-for", ticket.key)
+        assert store.get(ticket.key) == ("result-for", ticket.key)
+
+    def test_bounded_memo_under_concurrent_publish_and_lookup(
+        self, distinct_jobs, tmp_path, monkeypatch
+    ):
+        """Four workers publish while four tenants look up, memo of 2."""
+        from repro.engine import store as store_module
+
+        monkeypatch.setattr(store_module, "MEMO_LIMIT", 2)
+        jobs = distinct_jobs(12)
+        keys = [job_key(job) for job in jobs]
+        scheduler = ServiceScheduler(
+            ShardedResultStore(tmp_path),
+            workers=4,
+            execute=lambda group: [
+                ("result-for", job_key(job)) for job in group
+            ],
+            queue_capacity=None,
+        )
+        errors: list[BaseException] = []
+
+        def tenant(name):
+            try:
+                for _round in range(3):
+                    for start in range(0, len(jobs), 3):
+                        scheduler.submit(name, jobs[start:start + 3])
+                        scheduler.snapshot(keys)
+            except BaseException as error:  # reported by the assert
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with scheduler:
+                threads = [
+                    threading.Thread(target=tenant, args=(f"t{index}",))
+                    for index in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert scheduler.wait(keys, timeout=10.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        assert scheduler.stats.executed == len(keys)
+        assert all(
+            scheduler.result(key) == ("result-for", key) for key in keys
+        )
+        stats = scheduler.stats
+        assert stats.submitted == 4 * 3 * len(jobs) == (
+            stats.served_memo + stats.served_store + stats.attached
+            + stats.queued
+        )
+
+    def test_served_keys_keep_no_results_in_memory(
+        self, manual_scheduler, distinct_jobs, tmp_path, monkeypatch
+    ):
+        """With a store, memory grows by job state only, not results."""
+        import gc
+        import pathlib
+        import tracemalloc
+
+        from repro.engine import store as store_module
+
+        monkeypatch.setattr(store_module, "MEMO_LIMIT", 16)
+        warm, measured = 64, 400
+        jobs = distinct_jobs(warm + measured)
+
+        def six_kb(group):
+            return [
+                ("result-for", job_key(job), bytes(6 * 1024))
+                for job in group
+            ]
+
+        scheduler = manual_scheduler(
+            store=ShardedResultStore(tmp_path),
+            execute=six_kb,
+            queue_capacity=None,
+        )
+
+        def serve(batch):
+            scheduler.submit("alice", batch)
+            while scheduler.run_next():
+                pass
+
+        serve(jobs[:warm])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            serve(jobs[warm:])
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        # Left out: the snapshots themselves, and the interpreter's
+        # intern table, which pathlib grows by every path part.  That
+        # table is sized by the whole process, so a rebuild inside the
+        # window would read as megabytes of growth.
+        ignore = [
+            tracemalloc.Filter(False, tracemalloc.__file__),
+            tracemalloc.Filter(False, pathlib.__file__),
+        ]
+        growth = sum(
+            stat.size_diff
+            for stat in after.filter_traces(ignore).compare_to(
+                before.filter_traces(ignore), "filename"
+            )
+        )
+        assert scheduler.stats.executed == warm + measured
+        assert growth / measured < 2048, f"{growth / measured:.0f} B/key"

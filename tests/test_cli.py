@@ -939,6 +939,11 @@ class TestScheduleWorkloads:
         assert "demo" in capsys.readouterr().out
 
 
+def _kill_worker(jobs):
+    """A job-group runner that kills the pool worker running it."""
+    os._exit(1)
+
+
 class TestErrorContract:
     """Malformed input: exit 2, nothing on stdout, one error line."""
 
@@ -990,12 +995,18 @@ class TestErrorContract:
                          id="pareto-not-a-campaign"),
             pytest.param(["ingest", "{missing}"], False,
                          id="ingest-missing-file"),
+            pytest.param(["ingest", "{file}", "--skip", "-5"], True,
+                         id="ingest-negative-skip"),
             pytest.param(["traces", "list", "ghost"], False,
                          id="traces-unknown-name"),
             pytest.param(["serve", "--cache-dir", "{file}/sub"], False,
                          id="serve-cache-dir-under-file"),
             pytest.param(["submit", "--port", "1"], False,
                          id="submit-no-service"),
+            pytest.param(["serve", "--port", "99999"], True,
+                         id="serve-port-out-of-range"),
+            pytest.param(["submit", "--port", "99999"], True,
+                         id="submit-port-out-of-range"),
         ],
     )
     def test_malformed_input_exits_2(
@@ -1032,6 +1043,23 @@ class TestErrorContract:
         assert len(errors) == 1, captured.err
         if not usage:
             assert captured.err == errors[0] + "\n"
+
+    def test_twice_dead_workers_exit_2_with_one_line(
+        self, monkeypatch, capsys
+    ):
+        """A pool worker that dies again in the fresh pool: one line."""
+        from repro.engine import session as session_module
+
+        monkeypatch.setattr(session_module, "execute_group", _kill_worker)
+        status = main(
+            ["run", "fig4", "--jobs", "2", "--trace-length", "2000"]
+        )
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("repro run: error: ")
+        assert captured.err.count("\n") == 1
 
     def test_serve_busy_port_fails_fast(self, capsys):
         """A port someone else holds: exit 2 at once, no workers left."""
