@@ -218,6 +218,9 @@ class CacheConfig:
             raise ValueError("line must hold an integer number of words")
         if self.lines % self.ways:
             raise ValueError("lines must divide evenly into ways")
+        invalid = decode_invalidity(self.line_bytes, self.sets)
+        if invalid is not None:
+            raise ValueError(invalid)
         if self.replacement not in REPLACEMENT_POLICIES:
             raise ValueError(
                 f"unknown replacement policy {self.replacement!r}; "
@@ -353,6 +356,22 @@ class CacheConfig:
             f"{self.name}: {self.size_bytes // 1024} KB {self.ways}-way, "
             f"{self.line_bytes} B lines, {self.sets} sets{policy} [{groups}]"
         )
+
+
+def decode_invalidity(line_bytes: int, sets: int) -> str | None:
+    """Why a geometry cannot split addresses into bit fields, or None.
+
+    Both simulators take the line offset, the set index and the tag as
+    address bit fields (:meth:`CacheConfig.index_of`, ``tag_of``), so
+    the line size and the set count must be powers of two: with 48 sets
+    the tag starts above a 6-bit index, and byte addresses 0 and 1536
+    (32 B lines) would both decode to set 0, tag 0.
+    """
+    if line_bytes & (line_bytes - 1):
+        return f"line size {line_bytes} B is not a power of two"
+    if sets & (sets - 1):
+        return f"{sets} sets is not a power of two"
+    return None
 
 
 def validate_disabled_lines(

@@ -200,14 +200,21 @@ class ProtectedArray:
 
         Used by the Monte Carlo yield validation: after exercising, the
         ``silent_errors`` /  ``detected_reads`` counters tell whether this
-        die behaved as a yielding part.  One scalar draw per word, in
-        word order.  A clean word's read only counts (see :meth:`read`),
-        so only the words with stuck bits are read through the codec.
+        die behaved as a yielding part.  Each round draws its words in
+        one vector draw, in word order: numpy yields the same values,
+        and leaves the generator in the same state, as one scalar draw
+        per word.  Writing every word then resets the stored codewords
+        and the shadow wholesale.  A clean word's read only counts (see
+        :meth:`read`), so only the words with stuck bits are read
+        through the codec.
         """
         faulty = [i for i in range(self.words) if i in self._fault_masks]
         for _ in range(rounds):
-            for index in range(self.words):
-                self.write(index, int(rng.integers(0, 1 << self.data_bits)))
+            self._shadow = rng.integers(
+                0, 1 << self.data_bits, size=self.words
+            ).tolist()
+            self._stored = [None] * self.words
+            self._written = [True] * self.words
             self.reads += self.words - len(faulty)
             for index in faulty:
                 self.read(index)

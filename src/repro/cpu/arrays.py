@@ -58,19 +58,12 @@ class CoreArrays:
             rows=self.tlb_entries, cols=self.tlb_bits, cell=self.cell
         )
 
-    def dynamic_energy(
-        self,
-        op: OperatingPoint,
-        instructions: int,
-        memory_ops: int,
-    ) -> float:
-        """Array switching energy over a run (J).
+    def access_energies(self, op: OperatingPoint) -> tuple[float, float]:
+        """Switching energy per instruction and per memory op (J).
 
         Every instruction exercises the register file and the ITLB; every
         memory operation additionally exercises the DTLB.
         """
-        if instructions < 0 or memory_ops < 0:
-            raise ValueError("counts must be non-negative")
         rf = self.register_file
         per_instr = (
             self.rf_reads_per_instr
@@ -79,7 +72,18 @@ class CoreArrays:
             + self.itlb.read_energy(op.vdd, out_bits=24)
         )
         per_memop = self.dtlb.read_energy(op.vdd, out_bits=24)
-        return instructions * per_instr + memory_ops * per_memop
+        return per_instr, per_memop
+
+    def dynamic_energy(
+        self,
+        op: OperatingPoint,
+        instructions: int,
+        memory_ops: int,
+    ) -> float:
+        """Array switching energy over a run (J)."""
+        return run_switching_energy(
+            self.access_energies(op), instructions, memory_ops
+        )
 
     def leakage_power(self, op: OperatingPoint) -> float:
         """Static power of all core arrays (W)."""
@@ -88,3 +92,20 @@ class CoreArrays:
             + self.itlb.leakage_power(op.vdd)
             + self.dtlb.leakage_power(op.vdd)
         )
+
+
+def run_switching_energy(
+    access_energies: tuple[float, float],
+    instructions: int,
+    memory_ops: int,
+) -> float:
+    """Array switching energy of a run, from prices already taken.
+
+    ``access_energies`` is :meth:`CoreArrays.access_energies` at the
+    run's operating point, so a chip that prices its core once per
+    point adds the same floats as :meth:`CoreArrays.dynamic_energy`.
+    """
+    if instructions < 0 or memory_ops < 0:
+        raise ValueError("counts must be non-negative")
+    per_instr, per_memop = access_energies
+    return instructions * per_instr + memory_ops * per_memop

@@ -19,8 +19,8 @@ from repro.cache.config import CacheConfig
 from repro.cache.hybrid import simulate_reference
 from repro.cache.stats import CacheStats
 from repro.cacti.components import gate_leakage
-from repro.cacti.model import CacheEnergyModel
-from repro.cpu.arrays import CoreArrays
+from repro.cacti.model import PRICE_TABLE_LIMIT, CacheEnergyModel
+from repro.cpu.arrays import CoreArrays, run_switching_energy
 from repro.cpu.power import EnergyLedger
 from repro.cpu.timing import TimingParams, TimingResult, compute_timing
 from repro.cpu.trace import Trace
@@ -126,13 +126,35 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
+@dataclass(frozen=True)
+class CorePrices:
+    """The core's energy prices at one operating point.
+
+    Attributes:
+        access_energies: array switching energy per instruction and per
+            memory op (J), see :meth:`CoreArrays.access_energies`.
+        arrays_leakage: static power of the core arrays (W).
+        logic_leakage: static power of the core logic (W).
+    """
+
+    access_energies: tuple[float, float]
+    arrays_leakage: float
+    logic_leakage: float
+
+
 class Chip:
     """Executable model of one chip configuration."""
 
     def __init__(self, config: ChipConfig):
         self.config = config
         self.il1_model = CacheEnergyModel(config.il1)
-        self.dl1_model = CacheEnergyModel(config.dl1)
+        # Equal L1 configurations share one model, and so one price table.
+        self.dl1_model = (
+            self.il1_model
+            if config.dl1 == config.il1
+            else CacheEnergyModel(config.dl1)
+        )
+        self._core_prices: dict[OperatingPoint, CorePrices] = {}
 
     # ------------------------------------------------------------- running
     def run(
@@ -285,28 +307,38 @@ class Chip:
                 * op.vdd
             )
             ledger.add("core.logic", logic)
-            arrays = self.config.core_arrays
+            core = self.core_prices(op)
             ledger.add(
                 "core.arrays.dynamic",
-                arrays.dynamic_energy(
-                    op,
+                run_switching_energy(
+                    core.access_energies,
                     instructions=summary.instructions,
                     memory_ops=summary.memory_ops,
                 ),
             )
-            ledger.add(
-                "core.arrays.leakage", arrays.leakage_power(op) * seconds
-            )
-            ledger.add(
-                "core.leakage",
-                self._core_logic_leakage(op) * seconds,
-            )
+            ledger.add("core.arrays.leakage", core.arrays_leakage * seconds)
+            ledger.add("core.leakage", core.logic_leakage * seconds)
             return ledger
 
-    def _core_logic_leakage(self, op: OperatingPoint) -> float:
-        return self.config.core_leak_gates * gate_leakage(
-            op.vdd, self.config.core_arrays.cell.node
-        )
+    def core_prices(self, op: OperatingPoint) -> CorePrices:
+        """The core's prices at ``op``, priced once per point.
+
+        Like :meth:`CacheEnergyModel.prices`, the table is per chip and
+        bounded by :data:`~repro.cacti.model.PRICE_TABLE_LIMIT`.
+        """
+        prices = self._core_prices.get(op)
+        if prices is None:
+            arrays = self.config.core_arrays
+            prices = CorePrices(
+                access_energies=arrays.access_energies(op),
+                arrays_leakage=arrays.leakage_power(op),
+                logic_leakage=self.config.core_leak_gates
+                * gate_leakage(op.vdd, arrays.cell.node),
+            )
+            if len(self._core_prices) >= PRICE_TABLE_LIMIT:
+                self._core_prices.clear()
+            self._core_prices[op] = prices
+        return prices
 
     def _account_cache(
         self,

@@ -1,10 +1,11 @@
 """Per-trace precomputation shared across batched simulations.
 
 The expensive, *variant-independent* front half of the vectorized engine
-(:mod:`repro.engine.vectorized`) — address decode, the stable per-set
-argsort and the run-boundary collapse — depends only on the access
-stream and the cache *geometry* (offset/index/tag split), not on the
-operating mode, way mask, fault map, operating point or transient spec.
+(:mod:`repro.engine.vectorized`) — the bit-field address decode, the
+stable per-set sort (a radix sort on narrow keys) and the run-boundary
+collapse — depends only on the access stream and the cache *geometry*
+(offset/index/tag split), not on the operating mode, way mask, fault
+map, operating point or transient spec.
 
 A :class:`StreamPlan` captures that front half once so that a batch of
 jobs sharing a trace (a Vdd sweep, a die population, an EDC ablation)
@@ -49,11 +50,12 @@ class StreamPlan:
     Attributes:
         n: total accesses.
         total_writes: accesses flagged as writes.
-        order: ``argsort`` permutation (stream position -> program
-            position); the transient post-pass needs program-order
-            positions for scrub-interval indexing.
+        order: the stable sort's permutation (stream position ->
+            program position); the transient post-pass needs
+            program-order positions for scrub-interval indexing.
         set_stream / tag_stream / write_stream: per-access decode in
-            stream order.
+            stream order (set indices in the narrowest unsigned type
+            that holds them, tags as ``uint64``).
         starts: stream positions where runs (maximal same-set,
             same-tag spans) begin.
         run_tag / run_len / run_writes: per-run tag, length and write
@@ -81,13 +83,20 @@ class StreamPlan:
 def _decode(
     config: CacheConfig, addresses: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``index_of`` / ``tag_of`` over a whole address array."""
+    """Vectorized ``index_of`` / ``tag_of`` over a whole address array.
+
+    The set index is a mask, not a modulo: :class:`CacheConfig` admits
+    only power-of-two set counts, for which the two agree.  It comes
+    back in the narrowest unsigned type that holds every set index, the
+    tag as ``uint64``.
+    """
     addr = np.ascontiguousarray(addresses, dtype=np.uint64)
-    index = (addr >> np.uint64(config.offset_bits)) % np.uint64(config.sets)
+    index = addr >> np.uint64(config.offset_bits)
+    index &= np.uint64(config.sets - 1)
     tag_shift = np.uint64(config.offset_bits + config.index_bits)
     tag_mask = np.uint64((1 << config.tag_bits) - 1)
     tag = (addr >> tag_shift) & tag_mask
-    return index, tag
+    return index.astype(np.min_scalar_type(config.sets - 1)), tag
 
 
 def build_stream_plan(
@@ -120,7 +129,10 @@ def build_stream_plan(
 
         index, tag = _decode(config, addresses)
 
-        # Per-set streams: stable sort keeps program order per set.
+        # Per-set streams: stable sort keeps program order per set.  On
+        # the narrow set indices numpy's stable sort is a radix sort (for
+        # keys of 16 bits or fewer), and a stable sort's permutation is
+        # unique, so ``order`` is the one a wide key would give.
         order = np.argsort(index, kind="stable")
         set_stream = index[order]
         tag_stream = tag[order]

@@ -7,10 +7,13 @@ exercise — a freshly-built cache, a static way mask (no mode switches
 mid-run) and LRU replacement — at a fraction of the cost:
 
 1. **Whole-trace decode.** Set indices and tags are computed for every
-   access in one vectorized pass.
-2. **Per-set streams.** A stable argsort by set index reorders the trace
+   access in one vectorized pass, as address bit fields (set counts and
+   line sizes are powers of two).
+2. **Per-set streams.** A stable sort by set index reorders the trace
    into contiguous per-set access streams (order within a set is
    preserved, and cache behaviour only depends on the per-set order).
+   The keys are narrowed to the smallest type that holds a set index,
+   which makes numpy's stable sort a radix sort.
 3. **Run collapsing.** Consecutive accesses to the same line within a set
    are collapsed into *runs*: after the first access of a run the line is
    resident and most-recently-used, so the tail accesses are hits that
@@ -21,10 +24,12 @@ mid-run) and LRU replacement — at a fraction of the cost:
    designs) is fully vectorized — every run head is a miss by
    construction, so hits, fills and writebacks fall out of shifted run
    aggregates.  Multi-way LRU runs through a tight per-run loop over
-   plain ints, which is still an order of magnitude faster than the
-   per-access object model.  Die fault maps (disabled lines, see
-   :mod:`repro.faults.maps`) route through the generic kernel with a
-   per-set reduced way list; fully-disabled sets bypass.
+   plain ints: a set's recency order is the insertion order of one
+   ``tag -> way`` dict, and events are counted per way.  That is still
+   an order of magnitude faster than the per-access object model.  Die
+   fault maps (disabled lines, see :mod:`repro.faults.maps`) route
+   through the generic kernel with a per-set reduced way list;
+   fully-disabled sets bypass.
 
 Steps 1-3 are *variant-independent*: they depend on the access stream
 and the cache geometry only, so the batching layer
@@ -34,7 +39,9 @@ and the cache geometry only, so the batching layer
 transient spec) variant of a sweep.
 
 Equivalence with the reference model is enforced by
-``tests/engine/test_equivalence.py`` across modes, way splits and seeds.
+``tests/engine/test_equivalence.py`` across modes, way splits and seeds;
+``tests/engine/test_kernel_pins.py`` pins the pickled result bytes, whose
+group-counter key order follows the per-set walk, not program order.
 """
 
 from __future__ import annotations
@@ -227,14 +234,23 @@ def _accumulate_lru_runs(
 ) -> None:
     """Multi-way LRU: per-run loop over plain ints.
 
-    Victim selection mirrors the reference model exactly: the first empty
-    active way in ascending order, else the least-recently-used active
-    way.  With a static mask ways fill in ``actives`` order and never
-    empty, so "first empty" is simply ``set_actives[filled]``.
+    A set's resident lines live in one ``tag -> way`` dict whose
+    insertion order is the recency order, least recently used first: a
+    hit run pops its tag and re-inserts it, and a miss in a full set
+    evicts ``next(iter(lines))``.  Victim selection mirrors the
+    reference model exactly: the first empty active way in ascending
+    order, else the least-recently-used active way.  With a static mask
+    ways fill in ``actives`` order and never empty, so "first empty" is
+    simply ``set_actives[len(lines)]``.
 
     With a fault map (``run_set`` + ``disabled_by_set``), each set runs
     with its own reduced way list; a set with no usable way bypasses —
     every access of every run misses and nothing fills.
+
+    Hits, fills and writebacks are counted per way, in lists.  Each
+    counter also notes the order in which ways first received an event,
+    and the per-way counts fold into the group counters in that order:
+    the key order of a group counter is part of the pickled result.
 
     ``records`` (transient injection only) receives per-run ``(way,
     head_hit, started_dirty)`` observations for the soft-error
@@ -247,28 +263,28 @@ def _accumulate_lru_runs(
     new_sets = run_new_set.tolist()
     run_sets = run_set.tolist() if run_set is not None else None
 
-    read_hits = write_hits = read_misses = write_misses = 0
-    fills = writebacks = bypasses = 0
-    group_read_hits: dict[str, int] = {}
-    group_write_hits: dict[str, int] = {}
-    group_fills: dict[str, int] = {}
-    group_writebacks: dict[str, int] = {}
+    read_misses = write_misses = bypasses = 0
+    n_ways = len(group_names)
+    # Per-way event counts, and the ways in order of their first event.
+    read_hits = [0] * n_ways
+    write_hits = [0] * n_ways
+    fills = [0] * n_ways
+    writebacks = [0] * n_ways
+    read_hit_ways: list[int] = []
+    write_hit_ways: list[int] = []
+    fill_ways: list[int] = []
+    writeback_ways: list[int] = []
 
-    tag_to_way: dict[int, int] = {}
-    way_tag: dict[int, int] = {}
-    dirty: dict[int, bool] = {}
-    lru: list[int] = []  # MRU first; holds exactly the filled ways
-    filled = 0
+    # Only resident ways are read, and every fill rewrites its way's
+    # flag, so one list serves every set.
+    dirty = [False] * n_ways
+    lines: dict[int, int] = {}  # tag -> way, least recently used first
     set_actives = actives
     ways = len(actives)
 
     for i in range(len(tags)):
         if new_sets[i]:
-            tag_to_way = {}
-            way_tag = {}
-            dirty = {}
-            lru = []
-            filled = 0
+            lines = {}
             if run_sets is not None:
                 disabled = disabled_by_set.get(run_sets[i])
                 if disabled:
@@ -287,30 +303,24 @@ def _accumulate_lru_runs(
             write_misses += n_writes
             bypasses += length
             continue
-        way = tag_to_way.get(line_tag)
+        way = lines.pop(line_tag, None)
         if way is not None:
             # Hit run: refresh recency, count every access as a hit.
+            lines[line_tag] = way
             if records is not None:
                 records[0][i] = way
                 records[1][i] = True
                 records[2][i] = dirty[way]
-            if lru[0] != way:
-                lru.remove(way)
-                lru.insert(0, way)
+            hits_read = length - n_writes
+            if hits_read:
+                if not read_hits[way]:
+                    read_hit_ways.append(way)
+                read_hits[way] += hits_read
             if n_writes:
                 dirty[way] = True
-            group = group_names[way]
-            hits_read = length - n_writes
-            read_hits += hits_read
-            write_hits += n_writes
-            if hits_read:
-                group_read_hits[group] = (
-                    group_read_hits.get(group, 0) + hits_read
-                )
-            if n_writes:
-                group_write_hits[group] = (
-                    group_write_hits.get(group, 0) + n_writes
-                )
+                if not write_hits[way]:
+                    write_hit_ways.append(way)
+                write_hits[way] += n_writes
             continue
 
         # Miss on the run head; the tail hits the freshly-filled line.
@@ -319,56 +329,48 @@ def _accumulate_lru_runs(
             write_misses += 1
         else:
             read_misses += 1
-        if filled < ways:
-            way = set_actives[filled]
-            filled += 1
+        if len(lines) < ways:
+            way = set_actives[len(lines)]
         else:
-            way = lru.pop()
+            way = lines.pop(next(iter(lines)))
             if dirty[way]:
-                writebacks += 1
-                victim_group = group_names[way]
-                group_writebacks[victim_group] = (
-                    group_writebacks.get(victim_group, 0) + 1
-                )
-            del tag_to_way[way_tag[way]]
-        lru.insert(0, way)
-        way_tag[way] = line_tag
-        tag_to_way[line_tag] = way
+                if not writebacks[way]:
+                    writeback_ways.append(way)
+                writebacks[way] += 1
+        lines[line_tag] = way
         dirty[way] = n_writes > 0
         if records is not None:
             # A miss run fills clean; head stays a miss (not a hit).
             records[0][i] = way
-        group = group_names[way]
-        fills += 1
-        group_fills[group] = group_fills.get(group, 0) + 1
+        if not fills[way]:
+            fill_ways.append(way)
+        fills[way] += 1
         tail_reads = length - n_writes - (0 if head_write else 1)
         tail_writes = n_writes - (1 if head_write else 0)
-        read_hits += tail_reads
-        write_hits += tail_writes
         if tail_reads:
-            group_read_hits[group] = (
-                group_read_hits.get(group, 0) + tail_reads
-            )
+            if not read_hits[way]:
+                read_hit_ways.append(way)
+            read_hits[way] += tail_reads
         if tail_writes:
-            group_write_hits[group] = (
-                group_write_hits.get(group, 0) + tail_writes
-            )
+            if not write_hits[way]:
+                write_hit_ways.append(way)
+            write_hits[way] += tail_writes
 
-    stats.read_hits = read_hits
-    stats.write_hits = write_hits
+    stats.read_hits = sum(read_hits)
+    stats.write_hits = sum(write_hits)
     stats.read_misses = read_misses
     stats.write_misses = write_misses
-    stats.fills = fills
-    stats.writebacks = writebacks
+    stats.fills = sum(fills)
+    stats.writebacks = sum(writebacks)
     stats.bypasses = bypasses
-    for counter, values in (
-        (stats.group_read_hits, group_read_hits),
-        (stats.group_write_hits, group_write_hits),
-        (stats.group_fills, group_fills),
-        (stats.group_writebacks, group_writebacks),
+    for counter, counts, first_ways in (
+        (stats.group_read_hits, read_hits, read_hit_ways),
+        (stats.group_write_hits, write_hits, write_hit_ways),
+        (stats.group_fills, fills, fill_ways),
+        (stats.group_writebacks, writebacks, writeback_ways),
     ):
-        for name, value in values.items():
-            counter[name] += value
+        for way in first_ways:
+            counter[group_names[way]] += counts[way]
 
 
 def _classify_transient_reads(

@@ -24,32 +24,28 @@ def _correctness_sweep(code, rng: np.random.Generator) -> dict:
     """Exhaustive single/double sweep + sampled triple sweep."""
     data = int(rng.integers(0, 1 << min(code.k, 62)))
     codeword = code.encode(data)
+    singles = (code.decode(codeword ^ (1 << p)) for p in range(code.n))
     if code.correctable >= 1:
         singles_ok = all(
-            code.decode(codeword ^ (1 << p)).status
-            is DecodeStatus.CORRECTED
-            and code.decode(codeword ^ (1 << p)).data == data
-            for p in range(code.n)
+            result.status is DecodeStatus.CORRECTED and result.data == data
+            for result in singles
         )
     else:
         singles_ok = all(
-            code.decode(codeword ^ (1 << p)).status
-            is DecodeStatus.DETECTED
-            for p in range(code.n)
+            result.status is DecodeStatus.DETECTED for result in singles
         )
-    doubles = list(itertools.combinations(range(code.n), 2))
+    doubles = (
+        code.decode(codeword ^ (1 << a) ^ (1 << b))
+        for a, b in itertools.combinations(range(code.n), 2)
+    )
     if code.correctable >= 2:
         doubles_ok = all(
-            code.decode(codeword ^ (1 << a) ^ (1 << b)).data == data
-            and code.decode(codeword ^ (1 << a) ^ (1 << b)).status
-            is DecodeStatus.CORRECTED
-            for a, b in doubles
+            result.data == data and result.status is DecodeStatus.CORRECTED
+            for result in doubles
         )
     elif code.detectable >= 2:
         doubles_ok = all(
-            code.decode(codeword ^ (1 << a) ^ (1 << b)).status
-            is DecodeStatus.DETECTED
-            for a, b in doubles
+            result.status is DecodeStatus.DETECTED for result in doubles
         )
     else:
         doubles_ok = True  # outside the code's guarantee envelope

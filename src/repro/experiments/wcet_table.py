@@ -76,16 +76,17 @@ def run_wcet(
     for row in evaluation.rows:
         proposed = row.proposed
         summary_cycles = proposed.timing.cycles
+        summary = _summary_of(proposed)
         guaranteed = wcet_guaranteed_capacity(
             # The functional miss counts are die-independent under EDC.
-            _summary_of(proposed),
+            summary,
             il1_misses=proposed.il1_stats.misses,
             dl1_misses=proposed.dl1_stats.misses,
             il1_hit_latency=2,  # +1 EDC cycle, as executed
             dl1_hit_latency=2,
         )
         all_miss = wcet_all_miss(
-            _summary_of(proposed), il1_hit_latency=1, dl1_hit_latency=1
+            summary, il1_hit_latency=1, dl1_hit_latency=1
         )
         blowup = all_miss.cycles / guaranteed.cycles
         blowups.append(blowup)

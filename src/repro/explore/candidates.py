@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Mapping
 
+from repro.cache.config import decode_invalidity
 from repro.core import calibration
 from repro.core.architect import (
     build_chip,
@@ -149,6 +150,12 @@ def hardware_invalidity(point: Mapping[str, object]) -> str | None:
         return (
             f"{size_bytes // 1024} KB / {line_bytes} B lines do not "
             f"fill {ways} ways evenly"
+        )
+    invalid = decode_invalidity(line_bytes, lines // ways)
+    if invalid is not None:
+        return (
+            f"{size_bytes // 1024} KB / {line_bytes} B lines / {ways} "
+            f"ways: {invalid}"
         )
     cell = technology_by_name(str(point.get("ule_cell", "8T")))
     vdd_ule = float(point.get("vdd_ule", 0.35))

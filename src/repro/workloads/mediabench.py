@@ -241,8 +241,9 @@ def _generate_trace(
     pc = patterns.loop_pc_stream(length, spec.code_bytes, rng)
 
     # Data addresses: assign each memory op a pattern class, then fill
-    # each class with its generator (order inside a class is preserved,
-    # which keeps streams sequential).
+    # each class's positions with its generator's addresses in one
+    # scatter (order inside a class is preserved, which keeps streams
+    # sequential).
     addr = np.zeros(length, dtype=np.uint64)
     memop_positions = np.nonzero(
         (kind == InstrKind.LOAD) | (kind == InstrKind.STORE)
@@ -283,10 +284,9 @@ def _generate_trace(
                 max(int((classes == 3).sum()), 1), spec.stack_bytes, rng
             ),
         ]
-        cursors = [0, 0, 0, 0]
-        for position, cls in zip(memop_positions, classes):
-            addr[position] = class_addresses[cls][cursors[cls]]
-            cursors[cls] += 1
+        for cls, addresses in enumerate(class_addresses):
+            positions = memop_positions[classes == cls]
+            addr[positions] = addresses[: len(positions)]
 
     # Load-use dependencies and fetch redirects.
     dep_next = np.zeros(length, dtype=bool)

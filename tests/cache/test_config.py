@@ -53,6 +53,18 @@ class TestGeometry:
         with pytest.raises(ValueError):
             CacheConfig("x", 8192, 32, ())
 
+    def test_non_power_of_two_geometry_rejected(self):
+        """Index and tag are address bit fields: 12 KB / 32 B lines /
+        8 ways gives 48 sets, where byte addresses 0 and 1536 would both
+        decode to set 0, tag 0.  A 48 B line breaks the offset field."""
+        with pytest.raises(ValueError, match="48 sets"):
+            CacheConfig("x", 12 * 1024, 32, (_simple_group(ways=8),))
+        with pytest.raises(ValueError, match="48 B"):
+            CacheConfig("x", 12 * 1024, 48, (_simple_group(ways=8),))
+        # Power-of-two sets over a non-power-of-two way count are fine.
+        config = CacheConfig("x", 12 * 1024, 32, (_simple_group(ways=6),))
+        assert config.sets == 64
+
     def test_missing_protection_rejected(self):
         with pytest.raises(ValueError):
             WayGroupConfig(

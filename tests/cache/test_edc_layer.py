@@ -323,3 +323,68 @@ class TestFaultyDieCounters:
             array.usable(1),
             array.usable(2),
         ) == self.PINNED[scheme]
+
+
+class TestExerciseDraws:
+    """``exercise`` draws each round's words in one vector draw.  It
+    relies on numpy yielding the same values, and leaving the same
+    generator state, as one scalar draw per word; both are pinned here,
+    against a per-word ``write``/``read`` loop kept as the reference."""
+
+    @pytest.mark.parametrize("data_bits", [26, 32, 63])
+    def test_vector_draw_equals_scalar_draws(self, data_bits):
+        vector_rng = np.random.default_rng(data_bits)
+        scalar_rng = np.random.default_rng(data_bits)
+        for words in (1, 7, 256):
+            drawn = vector_rng.integers(
+                0, 1 << data_bits, size=words
+            ).tolist()
+            assert drawn == [
+                int(scalar_rng.integers(0, 1 << data_bits))
+                for _ in range(words)
+            ]
+            assert (
+                vector_rng.bit_generator.state
+                == scalar_rng.bit_generator.state
+            )
+
+    @staticmethod
+    def _per_word_exercise(array, rng, rounds):
+        """Reference: one scalar draw and one ``write`` per word."""
+        faulty = [i for i in range(array.words) if i in array._fault_masks]
+        for _ in range(rounds):
+            for index in range(array.words):
+                array.write(index, int(rng.integers(0, 1 << array.data_bits)))
+            array.reads += array.words - len(faulty)
+            for index in faulty:
+                array.read(index)
+
+    @pytest.mark.parametrize(
+        "scheme, data_bits",
+        [
+            (ProtectionScheme.NONE, 63),
+            (ProtectionScheme.PARITY, 26),
+            (ProtectionScheme.SECDED, 32),
+            (ProtectionScheme.DECTED, 32),
+        ],
+    )
+    def test_exercise_equals_per_word_loop(self, scheme, data_bits):
+        stored_bits = ProtectedArray(64, data_bits, scheme).stored_bits
+        fmap = generate_fault_map(
+            0.03, 64, stored_bits, np.random.default_rng(5)
+        )
+        assert fmap.fault_masks  # stuck bits, so the codec runs
+        arrays, rngs = [], []
+        for _ in range(2):
+            arrays.append(
+                ProtectedArray(64, data_bits, scheme, fault_map=fmap)
+            )
+            rngs.append(np.random.default_rng(2013))
+        arrays[0].exercise(rngs[0], rounds=3)
+        self._per_word_exercise(arrays[1], rngs[1], rounds=3)
+        vector, scalar = arrays
+        assert _counters(vector) == _counters(scalar)
+        assert vector._shadow == scalar._shadow
+        assert vector._stored == scalar._stored
+        assert vector._written == scalar._written
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state

@@ -115,3 +115,84 @@ class TestChipRun:
             + categories["l1 leakage"]
         )
         assert cache_energy > 0.55 * result.energy.total
+
+
+class TestCorePriceTable:
+    """The chip prices its core once per operating point; the ledger
+    must add the very floats that per-call pricing adds."""
+
+    POINTS = (
+        HP_OPERATING_POINT,
+        ULE_OPERATING_POINT,
+    )
+
+    @staticmethod
+    def _per_call_core(chip, trace, result):
+        """The core's ledger entries, repriced from scratch."""
+        from repro.cacti.components import gate_leakage
+
+        op = result.operating_point
+        arrays = chip.config.core_arrays
+        seconds = result.timing.cycles * op.cycle_time
+        return [
+            (
+                "core.arrays.dynamic",
+                arrays.dynamic_energy(
+                    op,
+                    instructions=trace.summary.instructions,
+                    memory_ops=trace.summary.memory_ops,
+                ),
+            ),
+            ("core.arrays.leakage", arrays.leakage_power(op) * seconds),
+            (
+                "core.leakage",
+                chip.config.core_leak_gates
+                * gate_leakage(op.vdd, arrays.cell.node)
+                * seconds,
+            ),
+        ]
+
+    def test_table_ledger_equals_per_call_pricing(self, chips_a, small_trace):
+        import pickle
+
+        from repro.cpu.chip import Chip
+
+        chip = Chip(chips_a.proposed.config)
+        for _ in range(2):  # the second pass reads the table
+            for op in self.POINTS:
+                result = chip.run(small_trace, op.mode, operating_point=op)
+                for name, joules in self._per_call_core(
+                    chip, small_trace, result
+                ):
+                    assert result.energy.get(name) == joules
+                fresh = Chip(chips_a.proposed.config).run(
+                    small_trace, op.mode, operating_point=op
+                )
+                assert pickle.dumps(result.energy) == pickle.dumps(
+                    fresh.energy
+                )
+
+    def test_table_stays_bounded(self, chips_a):
+        from repro.cacti.model import PRICE_TABLE_LIMIT
+        from repro.cpu.chip import Chip
+        from repro.tech.operating import OperatingPoint
+
+        chip = Chip(chips_a.proposed.config)
+        for step in range(3 * PRICE_TABLE_LIMIT):
+            op = OperatingPoint(
+                mode=Mode.ULE, vdd=0.30 + step * 1e-4, frequency=5e6
+            )
+            assert chip.core_prices(op) is chip.core_prices(op)
+            assert len(chip._core_prices) <= PRICE_TABLE_LIMIT
+
+    def test_equal_l1s_share_one_energy_model(self, chips_a):
+        from dataclasses import replace
+
+        from repro.cpu.chip import Chip
+
+        config = chips_a.proposed.config
+        assert config.dl1 == config.il1
+        shared = Chip(config)
+        assert shared.dl1_model is shared.il1_model
+        split = Chip(replace(config, dl1=replace(config.dl1, name="other")))
+        assert split.dl1_model is not split.il1_model

@@ -121,6 +121,23 @@ class TestValidity:
         with pytest.raises(CandidateError):
             build_candidate(_point(size_kb=1, line_bytes=64, ways=32))
 
+    def test_rejects_non_power_of_two_geometry(self):
+        """48 sets (12 KB / 32 B / 8 ways) or a 48 B line cannot decode
+        addresses by bit fields: the sweep drops the point with the
+        reason instead of ranking aliased counts."""
+        for overrides, reason in (
+            (dict(size_kb=12), "48 sets is not a power of two"),
+            (dict(size_kb=12, line_bytes=48), "48 B is not a power"),
+        ):
+            point = _point(**overrides)
+            assert reason in candidates_module.hardware_invalidity(point)
+            assert not default_space().admits(point)
+            with pytest.raises(CandidateError, match=reason):
+                build_candidate(point)
+        assert candidates_module.hardware_invalidity(
+            _point(size_kb=12, ways=6)
+        ) is None
+
     def test_rejects_subthreshold_6t(self):
         with pytest.raises(CandidateError):
             build_candidate(_point(ule_cell="6T"))

@@ -981,6 +981,13 @@ class TestErrorContract:
                          id="sweep-no-candidate-ways"),
             pytest.param(["sweep", "--axes", "vdd_ule=0.1"], False,
                          id="sweep-no-candidate-vdd"),
+            pytest.param(["sweep", "--axes",
+                          "size_kb=12;line_bytes=32;ways=8;ule_ways=1;"
+                          "ule_cell=10T;ule_scheme=secded;hp_scheme=none;"
+                          "vdd_ule=0.35"], False,
+                         id="sweep-sets-not-power-of-two"),
+            pytest.param(["sweep", "--axes", "size_kb=12;line_bytes=48"],
+                         False, id="sweep-line-not-power-of-two"),
             pytest.param(["sweep", "--axes", "vdd_ule=0.1", "--surrogate"],
                          False, id="sweep-surrogate-no-candidate"),
             pytest.param(["schedule", "--workload", "nosuch"], False,

@@ -123,3 +123,31 @@ class TestGeneration:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             generate_trace("adpcm_c", length=0)
+
+    #: ``content_digest()`` of generated traces with streaming (adpcm),
+    #: small-block (epic, gsm) and large-block (mpeg2) address mixes.
+    PINNED_DIGESTS = {
+        ("adpcm_c", 5_000, 2013): (
+            "bd8bedf23adb91e2c8569c8aeac9be42"
+            "629bc2705fc6c2f386142104dbd82ef4"
+        ),
+        ("epic_c", 20_000, 7): (
+            "85e5e925ba88b4b456898476fd7c084d"
+            "5b693b87426dbc0249d9d6412d6a2e41"
+        ),
+        ("mpeg2_c", 20_000, 2013): (
+            "dde8e03bb7cccee6c817a3c4601c8e24"
+            "705bddeb29c2233affef1bf9318986d4"
+        ),
+        ("gsm_c", 3_000, 0): (
+            "db58c22440579ecc12132555db1d177c"
+            "cbd2e7d8b6d16e340e24cd618b65dd19"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+    def test_generated_bytes_are_pinned(self, case):
+        """Trace bytes feed every job key and stored result."""
+        name, length, seed = case
+        trace = generate_trace(name, length=length, seed=seed)
+        assert trace.content_digest() == self.PINNED_DIGESTS[case]
